@@ -23,7 +23,7 @@ from .engine import (
     inflation_depletion_factor, run_realisation, step_semester, strike_friction_multiplier,
 )
 from .metrics import (
-    HazardExcess, RunMetrics, SweepCell, SweepResult, aggregate, amplification,
+    HazardExcess, RunMetrics, SweepCell, SweepResult, amplification,
     hazard_curve, hazard_excess, realisation_stats,
 )
 from .scenario import (

@@ -19,18 +19,17 @@ deterministic given (seed, budget).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields as dc_fields, replace
+from dataclasses import dataclass, fields as dc_fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.stats import qmc
 
-from .engine import DecisionCoefficients, InterventionModifiers, ResilienceDynamics
+from .engine import DecisionCoefficients, ResilienceDynamics
 from .population import PopulationParams
 from .scenario import (
-    CALIBRATED_ACADEMIC_SUPPORT, CALIBRATED_CURRICULUM_REDESIGN, CALIBRATED_FINANCIAL_BOOST,
-    DEFAULT_BASE_SEED, ScenarioSpec, builtin_scenario, run_ensemble,
+    CALIBRATED_INTERVENTIONS, DEFAULT_BASE_SEED, INTERVENTION_LEVERS, ScenarioSpec,
+    builtin_scenario, lever_interventions, run_ensemble,
 )
 
 #: One semester of median time-to-dropout error counts like 6 percentage
@@ -120,28 +119,27 @@ class FreeParameters:
     rho_sd: float = PopulationParams().rho_sd
     tau_mean: float = PopulationParams().tau_mean
     tau_sd: float = PopulationParams().tau_sd
-    academic_support_factor: float = CALIBRATED_ACADEMIC_SUPPORT
-    curriculum_redesign_factor: float = CALIBRATED_CURRICULUM_REDESIGN
-    financial_support_boost: float = CALIBRATED_FINANCIAL_BOOST
+    academic_support_factor: float = CALIBRATED_INTERVENTIONS.academic_support_factor
+    curriculum_redesign_factor: float = CALIBRATED_INTERVENTIONS.curriculum_redesign_factor
+    financial_support_boost: float = CALIBRATED_INTERVENTIONS.financial_support_boost
 
-    def coefficients(self) -> DecisionCoefficients:
-        return DecisionCoefficients(self.beta0, self.beta1, self.beta2, self.beta3, self.beta4)
+    def apply(self, spec: ScenarioSpec) -> ScenarioSpec:
+        """``spec`` with these parameters in place of its behavioural values.
 
-    def dynamics(self) -> ResilienceDynamics:
-        return ResilienceDynamics(self.d_fail, self.r_gain, self.rho_floor,
-                                  self.external_hazard_base)
+        Every decision coefficient, resilience-dynamics value and latent
+        population moment is replaced.  The built-in intervention scenarios
+        (ids S1-S4) also take these intervention magnitudes on their levers,
+        with the other levers neutral; any other id keeps its interventions.
+        """
+        own = self.to_dict()
 
-    def population(self, template: PopulationParams = PopulationParams()) -> PopulationParams:
-        return replace(template, rho_mean=self.rho_mean, rho_sd=self.rho_sd,
-                       tau_mean=self.tau_mean, tau_sd=self.tau_sd)
+        def fill(part):
+            return replace(part, **{f.name: own[f.name] for f in dc_fields(part) if f.name in own})
 
-    def interventions(self, scenario_key: str) -> InterventionModifiers:
-        support = self.academic_support_factor if scenario_key in ("S1", "S4") else 1.0
-        redesign = self.curriculum_redesign_factor if scenario_key in ("S2", "S4") else 1.0
-        boost = self.financial_support_boost if scenario_key in ("S3", "S4") else 0.0
-        return InterventionModifiers(academic_support_factor=support,
-                                     curriculum_redesign_factor=redesign,
-                                     financial_support_boost=boost)
+        interventions = (lever_interventions(spec.id, self) if spec.id in INTERVENTION_LEVERS
+                         else spec.interventions)
+        return replace(spec, interventions=interventions, population=fill(spec.population),
+                       coefficients=fill(spec.coefficients), dynamics=fill(spec.dynamics))
 
     def to_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
@@ -201,22 +199,6 @@ def weighted_error(simulated: Mapping[str, float], targets: CalibrationTargets,
     return total
 
 
-def _scenario_for(key: str, params: FreeParameters, n_agents: int, n_realisations: int,
-                  horizon: int, base_seed: int) -> ScenarioSpec:
-    """The built-in scenario ``key`` with ``params`` in place of its calibrated values."""
-    spec = builtin_scenario(key, base_seed)
-    return replace(
-        spec,
-        interventions=params.interventions(key),
-        n_agents=n_agents,
-        n_realisations=n_realisations,
-        horizon=horizon,
-        population=params.population(spec.population),
-        coefficients=params.coefficients(),
-        dynamics=params.dynamics(),
-    )
-
-
 def evaluate_targets(params: FreeParameters, target_names: Sequence[str],
                      n_realisations: int, n_agents: int = 300, horizon: int = 12,
                      base_seed: int = DEFAULT_BASE_SEED, workers: int = 1,
@@ -229,7 +211,8 @@ def evaluate_targets(params: FreeParameters, target_names: Sequence[str],
         needed.setdefault(TARGET_SPECS[name][0], []).append(name)
     simulated: dict[str, float] = {}
     for key in sorted(needed):
-        spec = _scenario_for(key, params, n_agents, n_realisations, horizon, base_seed)
+        spec = replace(params.apply(builtin_scenario(key, base_seed)), n_agents=n_agents,
+                       n_realisations=n_realisations, horizon=horizon)
         metrics = run_ensemble(spec, workers, bootstrap_resamples=50)
         for name in needed[key]:
             value = getattr(metrics, TARGET_SPECS[name][1])
@@ -257,28 +240,12 @@ class CalibrationResult:
     simulated: dict[str, float]
     residuals: dict[str, float]
     within_tolerance: dict[str, bool]
-    passed: bool
-    converged: bool  # False = budget exhausted without reaching tolerance
+    passed: bool  # False = budget exhausted without reaching tolerance
     final_score: float
     stage1_best_score: float
     evaluations_used: int
     budget: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "simulated": dict(self.simulated),
-            "residuals": dict(self.residuals),
-            "within_tolerance": dict(self.within_tolerance),
-            "passed": self.passed,
-            "converged": self.converged,
-            "final_score": self.final_score,
-            "stage1_best_score": self.stage1_best_score,
-            "evaluations_used": self.evaluations_used,
-            "budget": self.budget,
-            "seed": self.seed,
-        }
 
 
 RESIDUAL_CSV_HEADER = ("target", "simulated", "target_value", "residual", "tolerance", "within")
@@ -340,8 +307,7 @@ def _search_block(initial: FreeParameters, names: Sequence[str],
             for row in qmc.scale(sampler.random(n_points), lo, hi):
                 if not budget.take():
                     break
-                candidate = replace(best if False else initial,
-                                    **{n: float(v) for n, v in zip(names, row)})
+                candidate = replace(initial, **{n: float(v) for n, v in zip(names, row)})
                 s = objective(candidate, stage1_realisations)
                 if s < best_score:
                     best, best_score = candidate, s
@@ -390,7 +356,7 @@ def calibrate(targets: CalibrationTargets = CalibrationTargets(),
     Latin-hypercube stage at reduced ensemble size seeds coordinate descent
     at full size.  A parameter whose bounds collapse to one value is held at
     that value and not searched.  Failure to reach tolerance is reported in
-    the result (``converged``/``passed``), never raised.
+    the result (``passed``), never raised.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -451,17 +417,9 @@ def calibrate(targets: CalibrationTargets = CalibrationTargets(),
         residuals=residuals,
         within_tolerance=within,
         passed=passed,
-        converged=passed,
         final_score=final_score,
         stage1_best_score=stage1_best if stage1_best != float("inf") else final_score,
         evaluations_used=tracker.used,
         budget=budget,
         seed=seed,
     )
-
-
-def save_parameters(result: CalibrationResult, path: str) -> None:
-    """Write the frozen-parameters file consumed by the run/sweep commands."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.params.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -40,7 +41,7 @@ from .metrics import (
     curve_csv_rows, metrics_summary_rows, realisation_stats, sweep_csv_rows,
 )
 from .scenario import (
-    ScenarioSpec, SweepSpec, builtin_scenario, ensemble_stats, run_sweep,
+    DEFAULT_BASE_SEED, ScenarioSpec, SweepSpec, builtin_scenario, ensemble_stats, run_sweep,
     scenario_from_dict, scenario_to_dict, sensitivity_run, spec_hash,
     sweep_from_dict, sweep_to_dict, BUILTIN_SCENARIO_IDS,
 )
@@ -128,33 +129,18 @@ def _apply_overrides(doc: dict, overrides: Sequence[str], root: str) -> dict:
     return doc
 
 
-def _merge_free_parameters(doc: dict, params_path: str, scenario_id: str) -> None:
-    """Fold a frozen-parameters file into a scenario document.
-
-    Behavioural parameters replace the document's coefficients, dynamics and
-    latent population moments; for builtin intervention scenarios (S1-S4) the
-    calibrated modifier magnitudes are applied as well.
-    """
+def _load_free_parameters(params_path: str) -> FreeParameters:
     try:
-        params = params_from_dict(_load_json(params_path))
+        return params_from_dict(_load_json(params_path))
     except ValueError as exc:
         raise CliInputError(f"{params_path}: {exc}") from None
-    c = params.coefficients()
-    doc["coefficients"] = {"beta0": c.beta0, "beta1": c.beta1, "beta2": c.beta2,
-                           "beta3": c.beta3, "beta4": c.beta4}
-    d = params.dynamics()
-    doc["dynamics"] = {"d_fail": d.d_fail, "r_gain": d.r_gain, "rho_floor": d.rho_floor,
-                       "external_hazard_base": d.external_hazard_base}
-    pop = doc.setdefault("population", {})
-    pop.update({"rho_mean": params.rho_mean, "rho_sd": params.rho_sd,
-                "tau_mean": params.tau_mean, "tau_sd": params.tau_sd})
-    if scenario_id in ("S1", "S2", "S3", "S4"):
-        m = params.interventions(scenario_id)
-        doc["interventions"] = {
-            "academic_support_factor": m.academic_support_factor,
-            "curriculum_redesign_factor": m.curriculum_redesign_factor,
-            "financial_support_boost": m.financial_support_boost,
-        }
+
+
+def _decode(decoder, doc):
+    try:
+        return decoder(doc)
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from None
 
 
 def _scenario_from_args(args) -> tuple[ScenarioSpec, dict]:
@@ -175,12 +161,10 @@ def _scenario_from_args(args) -> tuple[ScenarioSpec, dict]:
     if args.seed is not None:
         doc["base_seed"] = args.seed
     if getattr(args, "params", None):
-        _merge_free_parameters(doc, args.params, doc.get("id", ""))
+        params = _load_free_parameters(args.params)
+        doc = scenario_to_dict(params.apply(_decode(scenario_from_dict, doc)))
     _apply_overrides(doc, args.override, "scenario")
-    try:
-        spec = scenario_from_dict(doc, "scenario")
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
+    spec = _decode(scenario_from_dict, doc)
     return spec, scenario_to_dict(spec)
 
 
@@ -244,10 +228,8 @@ def _cmd_run(args) -> int:
     metrics = aggregate_stats(stats, spec.horizon)
 
     if args.cohort:
-        from .population import cohort_csv_rows
-        from dataclasses import replace as dc_replace
-        from .population import generate_cohort
-        population = dc_replace(spec.population, n_agents=spec.n_agents)
+        from .population import cohort_csv_rows, generate_cohort
+        population = replace(spec.population, n_agents=spec.n_agents)
         cohort = generate_cohort(population, spec.base_seed ^ 0)
         cohort_path = out / "cohort.csv"
         _write_csv(cohort_path,
@@ -281,13 +263,11 @@ def _cmd_sweep(args) -> int:
     if args.seed is not None:
         doc.setdefault("base", scenario_to_dict(ScenarioSpec()))["base_seed"] = args.seed
     if args.params:
-        base = doc.setdefault("base", scenario_to_dict(ScenarioSpec()))
-        _merge_free_parameters(base, args.params, base.get("id", ""))
+        params = _load_free_parameters(args.params)
+        sweep = _decode(sweep_from_dict, doc)
+        doc = sweep_to_dict(replace(sweep, base=params.apply(sweep.base)))
     _apply_overrides(doc, args.override, "sweep")
-    try:
-        sweep = sweep_from_dict(doc, "sweep")
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
+    sweep = _decode(sweep_from_dict, doc)
     out = _out_dir(args)
     result = run_sweep(sweep, args.workers)
     grid_path = out / "sweep_grid.csv"
@@ -311,19 +291,20 @@ def _cmd_calibrate(args) -> int:
     except (TypeError, ValueError) as exc:
         raise CliInputError(f"targets: {exc}") from None
     out = _out_dir(args)
+    base_seed = DEFAULT_BASE_SEED if args.seed is None else args.seed
     result = calibrate(targets, budget=args.budget, seed=args.seed or 0,
                        stage1_realisations=args.stage1_realisations,
                        full_realisations=args.full_realisations,
-                       n_agents=args.n_agents, workers=args.workers)
+                       n_agents=args.n_agents, base_seed=base_seed, workers=args.workers)
     params_path = out / "calibrated_params.json"
     _write_json(params_path, result.params.to_dict())
     report_path = out / "calibration_report.json"
-    _write_json(report_path, result.to_dict())
+    _write_json(report_path, asdict(result))
     residual_path = out / "residuals.csv"
     _write_csv(residual_path, RESIDUAL_CSV_HEADER, residual_csv_rows(result, targets))
     _write_manifest(out, "calibrate", args.seed or 0,
                     {"calibration": {"targets": targets.as_dict(), "budget": args.budget,
-                                     "seed": args.seed or 0}},
+                                     "seed": args.seed or 0, "base_seed": base_seed}},
                     {"calibrated_params": params_path, "calibration_report": report_path,
                      "residuals": residual_path})
     status = "within tolerance" if result.passed else "BEST EFFORT (outside tolerance)"
@@ -395,18 +376,7 @@ def _cmd_sensitivity(args) -> int:
     out = _out_dir(args)
 
     def checks_dict(checks):
-        if checks is None:
-            return None
-        return {
-            "amplification": checks.amplification,
-            "amplification_ci": list(checks.amplification_ci),
-            "amplification_positive": checks.amplification_positive,
-            "early_increase": checks.early_increase,
-            "late_conditional_increase": checks.late_conditional_increase,
-            "cycle_concentration_holds": checks.cycle_concentration_holds,
-            "lag_peak_semester": checks.lag_peak_semester,
-            "lag_peak_in_window": checks.lag_peak_in_window,
-        }
+        return None if checks is None else asdict(checks)
 
     doc = {
         "base": {"d_total": report.base_metrics.d_total,

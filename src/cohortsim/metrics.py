@@ -13,9 +13,8 @@ moves continuously as events shift between semesters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -118,39 +117,14 @@ class RunMetrics:
     at_risk_by_semester: tuple[tuple[int, ...], ...]
 
 
-def bootstrap_mean_ci(values: Sequence[float], resamples: int = 1000, seed: int = 0,
-                      alpha: float = 0.05) -> tuple[float, float]:
-    """Percentile bootstrap CI for the mean of realisation-level values."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 1:
-        return (float(arr[0]), float(arr[0]))
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, arr.size, size=(resamples, arr.size))
-    means = arr[idx].mean(axis=1)
-    lo, hi = np.percentile(means, [100 * alpha / 2, 100 * (1 - alpha / 2)])
-    return (float(lo), float(hi))
-
-
-def aggregate(logs: Iterable[TrajectoryLog], horizon: int,
-              bootstrap_resamples: int = 1000, bootstrap_seed: int = 0) -> RunMetrics:
-    """Aggregate realisation logs into ensemble metrics.
-
-    Consumes lazily: each log is reduced to its per-realisation stats as soon
-    as it arrives, so generators of large logs never accumulate in memory.
-    """
-    stats: list[RealisationStats] = []
-    for log in logs:
-        if log.horizon != horizon:
-            raise ValueError(f"log horizon {log.horizon} != expected {horizon}")
-        stats.append(realisation_stats(log))
-    return aggregate_stats(stats, horizon, bootstrap_resamples, bootstrap_seed)
-
-
 def aggregate_stats(stats: Sequence[RealisationStats], horizon: int,
                     bootstrap_resamples: int = 1000, bootstrap_seed: int = 0) -> RunMetrics:
-    """Aggregate pre-reduced per-realisation stats (ordered by index)."""
+    """Aggregate per-realisation stats (ordered by index) into ensemble metrics."""
     if not stats:
         raise ValueError("aggregate needs at least one realisation log")
+    for s in stats:
+        if s.horizon != horizon:
+            raise ValueError(f"realisation horizon {s.horizon} != expected {horizon}")
 
     r = len(stats)
     n_agents = stats[0].n_agents
@@ -246,6 +220,27 @@ def amplification(d_both: float, d_inf_only: float, d_str_only: float, d_base: f
     (to the last bit) whenever either multiplier sits at its neutral value.
     """
     return (d_both - d_inf_only) - (d_str_only - d_base)
+
+
+def amplification_ci(both: Sequence[float], inf_only: Sequence[float],
+                     str_only: Sequence[float], base: Sequence[float],
+                     resamples: int, seed) -> tuple[float, tuple[float, float]]:
+    """Amplification of per-realisation rates and its 95% paired bootstrap CI.
+
+    The four sequences are paired by realisation index (common random
+    numbers), so each resample draws one index vector, from
+    ``np.random.default_rng(seed)``, shared by all four.  With a single
+    realisation the CI collapses to the point estimate.
+    """
+    arrays = [np.asarray(a, dtype=float) for a in (both, inf_only, str_only, base)]
+    point = amplification(*(float(a.mean()) for a in arrays))
+    r = arrays[0].size
+    if r == 1:
+        return point, (point, point)
+    idx = np.random.default_rng(seed).integers(0, r, size=(resamples, r))
+    b, i, s, o = (a[idx].mean(axis=1) for a in arrays)
+    lo, hi = np.percentile((b - i) - (s - o), [2.5, 97.5])
+    return point, (float(lo), float(hi))
 
 
 @dataclass(frozen=True)

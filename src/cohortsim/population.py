@@ -116,9 +116,10 @@ class PopulationParams:
     Continuous attributes are normal draws clipped to their observed min/max;
     binary ones Bernoulli; parental education a rounded, clipped normal on
     1..5.  ``rank_correlation``, when given, is a 7x7 latent-normal (Gaussian
-    copula) correlation matrix over :data:`COPULA_ATTRIBUTES`; the default is
-    independence.  The latent resilience and threshold moments (``rho_*``,
-    ``tau_*``) default to their calibrated values.
+    copula) correlation matrix over :data:`COPULA_ATTRIBUTES` (symmetric, unit
+    diagonal, positive definite; stored as a tuple of tuples of float); the
+    default is independence.  The latent resilience and threshold moments
+    (``rho_*``, ``tau_*``) default to their calibrated values.
     """
 
     n_agents: int = 300
@@ -156,6 +157,13 @@ class PopulationParams:
                 raise ValueError(f"rank_correlation must be {k}x{k}")
             if not np.allclose(m, m.T):
                 raise ValueError("rank_correlation must be symmetric")
+            if not np.allclose(np.diag(m), 1.0):
+                raise ValueError("rank_correlation must have a unit diagonal")
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                raise ValueError("rank_correlation must be positive definite") from None
+            object.__setattr__(self, "rank_correlation", tuple(map(tuple, m.tolist())))
 
 
 def generate_cohort(params: PopulationParams, rng_seed: int) -> list[AgentState]:
@@ -164,12 +172,7 @@ def generate_cohort(params: PopulationParams, rng_seed: int) -> list[AgentState]
     n = params.n_agents
     z = rng.standard_normal((n, len(COPULA_ATTRIBUTES)))
     if params.rank_correlation is not None:
-        corr = np.asarray(params.rank_correlation, dtype=float)
-        try:
-            chol = np.linalg.cholesky(corr)
-        except np.linalg.LinAlgError:
-            raise ValueError("rank_correlation must be positive definite") from None
-        z = z @ chol.T
+        z = z @ np.linalg.cholesky(np.asarray(params.rank_correlation)).T
 
     age = np.clip(params.age_mean + params.age_sd * z[:, 0], params.age_min, params.age_max)
     gender = (ndtr(z[:, 1]) < params.male_share).astype(int)

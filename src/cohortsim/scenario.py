@@ -19,10 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .curriculum import CurriculumGraph, curriculum_from_dict, curriculum_to_dict
 from .engine import (
@@ -31,8 +29,8 @@ from .engine import (
     effective_graph, run_realisation,
 )
 from .metrics import (
-    RunMetrics, SweepCell, SweepResult, aggregate_stats, amplification,
-    hazard_excess, hazard_curve, realisation_stats, RealisationStats,
+    RunMetrics, SweepCell, SweepResult, aggregate_stats, amplification_ci,
+    hazard_excess, realisation_stats, RealisationStats,
 )
 from .population import PopulationParams
 
@@ -44,11 +42,21 @@ DEFAULT_HORIZON = 12
 #: Calibrated intervention magnitudes (fixed by the calibration module's
 #: block-2 search against the published scenario outcomes; the calibration
 #: reads its defaults from here).
-CALIBRATED_ACADEMIC_SUPPORT = 0.8111328125
-CALIBRATED_CURRICULUM_REDESIGN = 0.564208984375
-CALIBRATED_FINANCIAL_BOOST = 0.00380859375
+CALIBRATED_INTERVENTIONS = InterventionModifiers(
+    academic_support_factor=0.8111328125,
+    curriculum_redesign_factor=0.564208984375,
+    financial_support_boost=0.00380859375,
+)
 
 BUILTIN_SCENARIO_IDS = ("S0", "S1", "S2", "S3", "S4", "S5", "S6", "S7")
+
+#: The intervention levers each built-in intervention scenario turns on.
+INTERVENTION_LEVERS: dict[str, tuple[str, ...]] = {
+    "S1": ("academic_support_factor",),
+    "S2": ("curriculum_redesign_factor",),
+    "S3": ("financial_support_boost",),
+    "S4": ("academic_support_factor", "curriculum_redesign_factor", "financial_support_boost"),
+}
 
 
 @dataclass(frozen=True)
@@ -82,19 +90,17 @@ class ScenarioSpec:
             raise ValueError("course_load must be >= 1")
 
 
+def lever_interventions(scenario_id: str, magnitudes) -> InterventionModifiers:
+    """Interventions of ``scenario_id``: its levers set from ``magnitudes``, the rest neutral.
+
+    ``magnitudes`` is any object with the three intervention attributes.
+    """
+    return InterventionModifiers(**{name: getattr(magnitudes, name)
+                                    for name in INTERVENTION_LEVERS.get(scenario_id, ())})
+
+
 def builtin_scenario(scenario_id: str, base_seed: int = DEFAULT_BASE_SEED) -> ScenarioSpec:
     """Canonical spec for one of the built-in scenario ids S0..S7."""
-    interventions = {
-        "S0": InterventionModifiers(),
-        "S1": InterventionModifiers(academic_support_factor=CALIBRATED_ACADEMIC_SUPPORT),
-        "S2": InterventionModifiers(curriculum_redesign_factor=CALIBRATED_CURRICULUM_REDESIGN),
-        "S3": InterventionModifiers(financial_support_boost=CALIBRATED_FINANCIAL_BOOST),
-        "S4": InterventionModifiers(
-            academic_support_factor=CALIBRATED_ACADEMIC_SUPPORT,
-            curriculum_redesign_factor=CALIBRATED_CURRICULUM_REDESIGN,
-            financial_support_boost=CALIBRATED_FINANCIAL_BOOST,
-        ),
-    }
     shocks = {
         "S5": ShockConfig(lambda_inf=1.2),
         "S6": ShockConfig(lambda_str=2.0),
@@ -106,7 +112,7 @@ def builtin_scenario(scenario_id: str, base_seed: int = DEFAULT_BASE_SEED) -> Sc
     return ScenarioSpec(
         id=scenario_id,
         shock=shocks.get(scenario_id, ShockConfig()),
-        interventions=interventions.get(scenario_id, InterventionModifiers()),
+        interventions=lever_interventions(scenario_id, CALIBRATED_INTERVENTIONS),
         base_seed=base_seed,
     )
 
@@ -166,7 +172,10 @@ class SweepSpec:
     def __post_init__(self) -> None:
         for name, grid in (("lambda_inf_grid", self.lambda_inf_grid),
                            ("lambda_str_grid", self.lambda_str_grid)):
-            values = tuple(float(v) for v in grid)
+            try:
+                values = tuple(float(v) for v in grid)
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be an array of numbers") from None
             if not values:
                 raise ValueError(f"{name} must be non-empty")
             if list(values) != sorted(values) or len(set(values)) != len(values):
@@ -174,6 +183,7 @@ class SweepSpec:
             if values[0] != 1.0:
                 raise ValueError(f"{name} must start at 1.0 (amplification baseline)")
             object.__setattr__(self, name, values)
+        object.__setattr__(self, "bootstrap_resamples", int(self.bootstrap_resamples))
         if self.bootstrap_resamples < 1:
             raise ValueError("bootstrap_resamples must be >= 1")
 
@@ -194,27 +204,15 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
                            shock=replace(base.shock, lambda_inf=li, lambda_str=ls))
             results[(li, ls)] = run_ensemble(spec, workers, sweep.bootstrap_resamples)
 
-    r = base.n_realisations
-    rng = np.random.default_rng(np.random.SeedSequence([base.base_seed, 2]))
-    idx = rng.integers(0, r, size=(sweep.bootstrap_resamples, r)) if r > 1 else None
-
     cells: dict[tuple[float, float], SweepCell] = {}
-    origin = np.asarray(results[(1.0, 1.0)].d_total_by_realisation)
+    origin = results[(1.0, 1.0)].d_total_by_realisation
     for li in sweep.lambda_inf_grid:
-        row_base = np.asarray(results[(li, 1.0)].d_total_by_realisation)
+        row_base = results[(li, 1.0)].d_total_by_realisation
         for ls in sweep.lambda_str_grid:
-            col_base = np.asarray(results[(1.0, ls)].d_total_by_realisation)
-            both = np.asarray(results[(li, ls)].d_total_by_realisation)
-            a_point = amplification(float(both.mean()), float(row_base.mean()),
-                                    float(col_base.mean()), float(origin.mean()))
-            if idx is None:
-                a_ci = (a_point, a_point)
-            else:
-                boots = ((both[idx].mean(axis=1) - row_base[idx].mean(axis=1))
-                         - (col_base[idx].mean(axis=1) - origin[idx].mean(axis=1)))
-                lo, hi = np.percentile(boots, [2.5, 97.5])
-                a_ci = (float(lo), float(hi))
             m = results[(li, ls)]
+            a_point, a_ci = amplification_ci(
+                m.d_total_by_realisation, row_base, results[(1.0, ls)].d_total_by_realisation,
+                origin, sweep.bootstrap_resamples, [base.base_seed, 2])
             cells[(li, ls)] = SweepCell(
                 lambda_inf=li, lambda_str=ls,
                 d_total=m.d_total, d_early=m.d_early,
@@ -317,18 +315,9 @@ def _qualitative_checks(spec: ScenarioSpec, workers: int,
     m_both = run_ensemble(shocked(1.2, 2.0), workers, resamples)
     m_pulse = run_ensemble(shocked(1.0, 1.0, {1: 2.5}), workers, resamples)
 
-    arrays = [np.asarray(m.d_total_by_realisation) for m in (m_both, m_inf, m_str, m_base)]
-    a_point = amplification(*(float(a.mean()) for a in arrays))
-    r = spec.n_realisations
-    if r > 1:
-        rng = np.random.default_rng(np.random.SeedSequence([spec.base_seed, 3]))
-        idx = rng.integers(0, r, size=(resamples, r))
-        boots = ((arrays[0][idx].mean(axis=1) - arrays[1][idx].mean(axis=1))
-                 - (arrays[2][idx].mean(axis=1) - arrays[3][idx].mean(axis=1)))
-        lo, hi = np.percentile(boots, [2.5, 97.5])
-        a_ci = (float(lo), float(hi))
-    else:
-        a_ci = (a_point, a_point)
+    a_point, a_ci = amplification_ci(
+        *(m.d_total_by_realisation for m in (m_both, m_inf, m_str, m_base)),
+        resamples, [spec.base_seed, 3])
 
     early_inc = m_str.d_early - m_base.d_early
     late_inc = m_str.d_late_conditional - m_base.d_late_conditional
@@ -386,81 +375,58 @@ def sensitivity_run(spec: ScenarioSpec,
 # JSON (de)serialisation and hashing
 # ---------------------------------------------------------------------------
 
-def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    return {
-        "id": spec.id,
-        "shock": {
-            "lambda_inf": spec.shock.lambda_inf,
-            "lambda_str": spec.shock.lambda_str,
-            "delta_inf_eff": spec.shock.delta_inf_eff,
-            "alpha_str_eff": spec.shock.alpha_str_eff,
-            "delta_inf_literal": spec.shock.delta_inf_literal,
-            "alpha_str_literal": spec.shock.alpha_str_literal,
-            "strike_schedule": (None if spec.shock.strike_schedule is None
-                                else {str(k): v for k, v in sorted(spec.shock.strike_schedule.items())}),
-            "shock_form": spec.shock.shock_form,
-        },
-        "interventions": {
-            "academic_support_factor": spec.interventions.academic_support_factor,
-            "curriculum_redesign_factor": spec.interventions.curriculum_redesign_factor,
-            "financial_support_boost": spec.interventions.financial_support_boost,
-        },
-        "n_agents": spec.n_agents,
-        "n_realisations": spec.n_realisations,
-        "horizon": spec.horizon,
-        "base_seed": spec.base_seed,
-        "course_load": spec.course_load,
-        "population": {
-            "n_agents": spec.population.n_agents,
-            "rho_mean": spec.population.rho_mean,
-            "rho_sd": spec.population.rho_sd,
-            "tau_mean": spec.population.tau_mean,
-            "tau_sd": spec.population.tau_sd,
-            "age_mean": spec.population.age_mean,
-            "age_sd": spec.population.age_sd,
-            "age_min": spec.population.age_min,
-            "age_max": spec.population.age_max,
-            "male_share": spec.population.male_share,
-            "gpa_mean": spec.population.gpa_mean,
-            "gpa_sd": spec.population.gpa_sd,
-            "gpa_min": spec.population.gpa_min,
-            "gpa_max": spec.population.gpa_max,
-            "displaced_share": spec.population.displaced_share,
-            "parental_mean": spec.population.parental_mean,
-            "parental_sd": spec.population.parental_sd,
-            "rank_correlation": (None if spec.population.rank_correlation is None
-                                 else [list(row) for row in spec.population.rank_correlation]),
-        },
-        "coefficients": {
-            "beta0": spec.coefficients.beta0,
-            "beta1": spec.coefficients.beta1,
-            "beta2": spec.coefficients.beta2,
-            "beta3": spec.coefficients.beta3,
-            "beta4": spec.coefficients.beta4,
-        },
-        "dynamics": {
-            "d_fail": spec.dynamics.d_fail,
-            "r_gain": spec.dynamics.r_gain,
-            "rho_floor": spec.dynamics.rho_floor,
-            "external_hazard_base": spec.dynamics.external_hazard_base,
-        },
-        "curriculum": None if spec.curriculum is None else curriculum_to_dict(spec.curriculum),
-    }
-
-
-def _section(doc: Mapping, key: str, path: str) -> Mapping:
-    value = doc.get(key, {})
-    if not isinstance(value, Mapping):
-        raise ValueError(f"{path}.{key}: expected an object")
+def _encode(value):
+    if isinstance(value, CurriculumGraph):
+        return curriculum_to_dict(value)
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Mapping):
+        # string keys: json.dumps(sort_keys=True) would order int keys numerically
+        return {str(k): _encode(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
     return value
 
 
-def _build(cls, section: Mapping, path: str, converters: Mapping[str, type] | None = None):
-    kwargs = {}
-    fields = {f.name for f in cls.__dataclass_fields__.values()} if hasattr(cls, "__dataclass_fields__") else set()
-    for key, value in section.items():
-        if key not in fields:
+def scenario_to_dict(spec: ScenarioSpec) -> dict:
+    return _encode(spec)
+
+
+def sweep_to_dict(sweep: SweepSpec) -> dict:
+    return _encode(sweep)
+
+
+#: Nested objects of the spec documents: field name -> dataclass.
+_SECTIONS = {
+    "base": ScenarioSpec,
+    "shock": ShockConfig,
+    "interventions": InterventionModifiers,
+    "population": PopulationParams,
+    "coefficients": DecisionCoefficients,
+    "dynamics": ResilienceDynamics,
+}
+
+
+def _build(cls, doc: Mapping, path: str):
+    """Instantiate dataclass ``cls`` from its JSON form; errors carry field paths."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{path}: expected an object")
+    known = {f.name for f in fields(cls)}
+    for key in doc:
+        if key not in known:
             raise ValueError(f"{path}.{key}: unknown field")
+    kwargs = {}
+    for key, value in doc.items():
+        where = f"{path}.{key}"
+        if key in _SECTIONS:
+            value = _build(_SECTIONS[key], value, where)
+        elif key == "curriculum" and value is not None:
+            value, _ = curriculum_from_dict(value, path=where)
+        elif key == "strike_schedule" and value is not None:
+            try:
+                value = {int(k): float(v) for k, v in value.items()}
+            except (TypeError, ValueError, AttributeError):
+                raise ValueError(f"{where}: expected semester -> multiplier map") from None
         kwargs[key] = value
     try:
         return cls(**kwargs)
@@ -470,79 +436,11 @@ def _build(cls, section: Mapping, path: str, converters: Mapping[str, type] | No
 
 def scenario_from_dict(doc: Mapping, path: str = "scenario") -> ScenarioSpec:
     """Build a ScenarioSpec from its JSON form; errors carry field paths."""
-    if not isinstance(doc, Mapping):
-        raise ValueError(f"{path}: expected an object")
-    known = {"id", "shock", "interventions", "n_agents", "n_realisations", "horizon",
-             "base_seed", "course_load", "population", "coefficients", "dynamics",
-             "curriculum"}
-    for key in doc:
-        if key not in known:
-            raise ValueError(f"{path}.{key}: unknown field")
-
-    shock_doc = dict(_section(doc, "shock", path))
-    if shock_doc.get("strike_schedule") is not None:
-        try:
-            shock_doc["strike_schedule"] = {int(k): float(v)
-                                            for k, v in shock_doc["strike_schedule"].items()}
-        except (TypeError, ValueError, AttributeError):
-            raise ValueError(f"{path}.shock.strike_schedule: expected semester -> multiplier map") from None
-    shock = _build(ShockConfig, shock_doc, f"{path}.shock")
-    interventions = _build(InterventionModifiers, _section(doc, "interventions", path),
-                           f"{path}.interventions")
-    pop_doc = dict(_section(doc, "population", path))
-    if pop_doc.get("rank_correlation") is not None:
-        pop_doc["rank_correlation"] = tuple(tuple(float(x) for x in row)
-                                            for row in pop_doc["rank_correlation"])
-    population = _build(PopulationParams, pop_doc, f"{path}.population")
-    coefficients = _build(DecisionCoefficients, _section(doc, "coefficients", path),
-                          f"{path}.coefficients")
-    dynamics = _build(ResilienceDynamics, _section(doc, "dynamics", path), f"{path}.dynamics")
-
-    curriculum = None
-    if doc.get("curriculum") is not None:
-        curriculum, _ = curriculum_from_dict(doc["curriculum"], path=f"{path}.curriculum")
-
-    top = {}
-    for key in ("id", "n_agents", "n_realisations", "horizon", "base_seed", "course_load"):
-        if key in doc:
-            top[key] = doc[key]
-    try:
-        return ScenarioSpec(shock=shock, interventions=interventions, population=population,
-                            coefficients=coefficients, dynamics=dynamics,
-                            curriculum=curriculum, **top)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def sweep_to_dict(sweep: SweepSpec) -> dict:
-    return {
-        "lambda_inf_grid": list(sweep.lambda_inf_grid),
-        "lambda_str_grid": list(sweep.lambda_str_grid),
-        "bootstrap_resamples": sweep.bootstrap_resamples,
-        "base": scenario_to_dict(sweep.base),
-    }
+    return _build(ScenarioSpec, doc, path)
 
 
 def sweep_from_dict(doc: Mapping, path: str = "sweep") -> SweepSpec:
-    if not isinstance(doc, Mapping):
-        raise ValueError(f"{path}: expected an object")
-    for key in doc:
-        if key not in {"lambda_inf_grid", "lambda_str_grid", "bootstrap_resamples", "base"}:
-            raise ValueError(f"{path}.{key}: unknown field")
-    base = scenario_from_dict(doc.get("base", {}), f"{path}.base") if "base" in doc else ScenarioSpec()
-    kwargs = {}
-    for key in ("lambda_inf_grid", "lambda_str_grid"):
-        if key in doc:
-            try:
-                kwargs[key] = tuple(float(v) for v in doc[key])
-            except (TypeError, ValueError):
-                raise ValueError(f"{path}.{key}: expected an array of numbers") from None
-    if "bootstrap_resamples" in doc:
-        kwargs["bootstrap_resamples"] = int(doc["bootstrap_resamples"])
-    try:
-        return SweepSpec(base=base, **kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _build(SweepSpec, doc, path)
 
 
 def spec_hash(snapshot: Mapping) -> str:

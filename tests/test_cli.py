@@ -71,6 +71,17 @@ class TestRunCommand:
         assert run_cli("run", "--spec", spec_path, "--out", tmp_path / "x") == 1
         assert "scenario.shock" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry,value", [((3, 3), 2.0), ((0, 1), 1.5)],
+                             ids=["diagonal-2", "not-positive-definite"])
+    def test_bad_rank_correlation_exits_one(self, tmp_path, capsys, entry, value):
+        matrix = [[1.0 if i == j else 0.0 for j in range(7)] for i in range(7)]
+        i, j = entry
+        matrix[i][j] = matrix[j][i] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"population": {"rank_correlation": matrix}}))
+        assert run_cli("run", "--spec", spec_path, "--out", tmp_path / "x", *TINY) == 1
+        assert "scenario.population" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_tiny_grid(self, tmp_path):
@@ -182,6 +193,18 @@ class TestCalibrateCommand:
         lines = (out / "residuals.csv").read_text().splitlines()
         assert lines[0].startswith("target,simulated")
         assert len(lines) == 1 + 12
+
+    def test_seed_sets_the_base_seed(self, tmp_path):
+        simulated = []
+        for seed in ("5", "6"):
+            out = tmp_path / f"cal{seed}"
+            assert run_cli("calibrate", "--budget", "1", "--n-agents", "20", "--seed", seed,
+                           "--stage1-realisations", "2", "--full-realisations", "2",
+                           "--out", out) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["parameters"]["calibration"]["base_seed"] == int(seed)
+            simulated.append(json.loads((out / "calibration_report.json").read_text())["simulated"])
+        assert simulated[0] != simulated[1]
 
 
 class TestParamsFile:

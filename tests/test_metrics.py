@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from cohortsim.engine import TrajectoryLog
 from cohortsim.metrics import (
-    aggregate, amplification, hazard_curve, hazard_excess, realisation_stats,
+    aggregate_stats, amplification, amplification_ci, hazard_curve, hazard_excess, realisation_stats,
 )
 from cohortsim.population import AgentState, DropoutCause, SocioProfile, Status
 
@@ -27,6 +27,10 @@ def make_agent(idx, status=Status.ACTIVE, exit_semester=None,
 def make_log(index, agents, horizon=12):
     return TrajectoryLog(realisation_index=index, cohort_seed=index, horizon=horizon,
                          n_courses=40, agents=tuple(agents))
+
+
+def aggregate(logs, horizon):
+    return aggregate_stats([realisation_stats(log) for log in logs], horizon)
 
 
 def bernoulli_logs(n_realisations, n_agents, p, horizon=12, seed=0):
@@ -163,6 +167,32 @@ class TestAmplification:
     def test_translation_in_combined_rate(self, b, i, s, base, c):
         assert amplification(b + c, i, s, base) == pytest.approx(
             amplification(b, i, s, base) + c, abs=1e-9)
+
+
+class TestAmplificationCI:
+    def rates(self, seed, r=40):
+        rng = np.random.default_rng(seed)
+        return [rng.uniform(0.3, 0.6, r) for _ in range(4)]
+
+    def test_single_realisation_ci_is_the_point(self):
+        point, ci = amplification_ci([0.55], [0.45], [0.47], [0.38], 100, 0)
+        assert point == amplification(0.55, 0.45, 0.47, 0.38)
+        assert ci == (point, point)
+
+    def test_axis_inputs_exactly_zero(self):
+        row, col = self.rates(1)[:2]
+        assert amplification_ci(row, row, col, col, 200, 7) == (0.0, (0.0, 0.0))
+
+    def test_matches_inline_paired_bootstrap(self):
+        both, inf_only, str_only, base = self.rates(2)
+        idx = np.random.default_rng(np.random.SeedSequence([42, 2])).integers(0, 40, (300, 40))
+        boots = ((both[idx].mean(axis=1) - inf_only[idx].mean(axis=1))
+                 - (str_only[idx].mean(axis=1) - base[idx].mean(axis=1)))
+        lo, hi = np.percentile(boots, [2.5, 97.5])
+        point = amplification(float(both.mean()), float(inf_only.mean()),
+                              float(str_only.mean()), float(base.mean()))
+        assert amplification_ci(both, inf_only, str_only, base, 300, [42, 2]) == (
+            point, (float(lo), float(hi)))
 
 
 class TestHazardExcess:

@@ -115,6 +115,25 @@ class TestCorrelationHook:
             generate_cohort(PopulationParams(n_agents=5,
                                              rank_correlation=tuple(tuple(r) for r in m)), 0)
 
+    def test_non_positive_definite_rejected_on_construction(self):
+        m = [list(row) for row in self.identity()]
+        m[0][1] = m[1][0] = 1.5
+        with pytest.raises(ValueError, match="positive definite"):
+            PopulationParams(rank_correlation=m)
+
+    def test_non_unit_diagonal_rejected(self):
+        m = [list(row) for row in self.identity()]
+        m[3][3] = 2.0  # positive definite, but not a correlation matrix
+        with pytest.raises(ValueError, match="unit diagonal"):
+            PopulationParams(rank_correlation=m)
+
+    def test_matrix_normalised_to_float_tuples(self):
+        m = [[1 if i == j else 0 for j in range(7)] for i in range(7)]
+        params = PopulationParams(rank_correlation=m)
+        assert params.rank_correlation == self.identity()
+        assert all(type(row) is tuple for row in params.rank_correlation)
+        assert all(type(x) is float for row in params.rank_correlation for x in row)
+
 
 class TestTerciles:
     @pytest.mark.parametrize("rho,expected", [

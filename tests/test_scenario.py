@@ -1,7 +1,15 @@
-import pytest
+import json
 
-from cohortsim.engine import ShockConfig, PAPER_LITERAL
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cohortsim.curriculum import Course, CurriculumGraph, Cycle
+from cohortsim.engine import (
+    DecisionCoefficients, InterventionModifiers, LINEAR_CENTRED, PAPER_LITERAL,
+    ResilienceDynamics, ShockConfig,
+)
 from cohortsim.metrics import sweep_csv_rows
+from cohortsim.population import PopulationParams
 from cohortsim.scenario import (
     ScenarioSpec, SweepSpec, builtin_scenario, run_ensemble, run_sweep,
     scenario_from_dict, scenario_to_dict, sensitivity_run, spec_hash,
@@ -124,6 +132,96 @@ class TestSensitivityRun:
         assert report.results[0].metrics != report.base_metrics
 
 
+def identity_with(*entries):
+    """7x7 identity with the symmetric off-diagonal ``(i, j, value)`` entries set."""
+    m = [[1.0 if i == j else 0.0 for j in range(7)] for i in range(7)]
+    for i, j, value in entries:
+        m[i][j] = m[j][i] = value
+    return tuple(tuple(row) for row in m)
+
+
+def explicit_spec():
+    """A spec with every field set explicitly, so no default reaches its snapshot."""
+    return ScenarioSpec(
+        id="pinned",
+        shock=ShockConfig(lambda_inf=1.15, lambda_str=1.75, delta_inf_eff=0.35,
+                          alpha_str_eff=0.45, delta_inf_literal=0.04, alpha_str_literal=0.2,
+                          strike_schedule={1: 2.5, 10: 1.5}, shock_form=PAPER_LITERAL),
+        interventions=InterventionModifiers(academic_support_factor=0.9,
+                                            curriculum_redesign_factor=0.75,
+                                            financial_support_boost=0.05),
+        n_agents=50, n_realisations=3, horizon=10, base_seed=7,
+        population=PopulationParams(
+            n_agents=60, rho_mean=0.55, rho_sd=0.15, tau_mean=0.2, tau_sd=0.05,
+            age_mean=20.0, age_sd=2.5, age_min=17.5, age_max=33.0, male_share=0.7,
+            gpa_mean=7.5, gpa_sd=1.25, gpa_min=5.5, gpa_max=9.5, displaced_share=0.4,
+            parental_mean=3.0, parental_sd=1.0,
+            rank_correlation=identity_with((2, 4, 0.5), (5, 6, -0.25))),
+        coefficients=DecisionCoefficients(beta0=-2.0, beta1=1.5, beta2=0.5, beta3=1.25,
+                                          beta4=-0.05),
+        dynamics=ResilienceDynamics(d_fail=0.04, r_gain=0.02, rho_floor=0.125,
+                                    external_hazard_base=0.025),
+        course_load=4,
+        curriculum=CurriculumGraph([
+            Course(id="c1", name="Calculus", cycle=Cycle.BASIC, scheduled_semester=1,
+                   prerequisites=frozenset(), base_fail_rate=0.3, retake_rate=0.2),
+            Course(id="c2", name="Mechanics", cycle=Cycle.ADVANCED, scheduled_semester=5,
+                   prerequisites=frozenset({"c1"}), base_fail_rate=0.25, retake_rate=0.1),
+        ]),
+    )
+
+
+#: ``json.dumps(scenario_to_dict(explicit_spec()), sort_keys=True)``: the
+#: manifest snapshot format.  A change here changes every manifest's spec hash.
+PINNED_SNAPSHOT = (
+    '{"base_seed": 7, "coefficients": {"beta0": -2.0, "beta1": 1.5, "beta2": 0.5, "beta3": '
+    '1.25, "beta4": -0.05}, "course_load": 4, "curriculum": {"courses": [{"cycle": "basic", '
+    '"fail_rate": 0.3, "id": "c1", "name": "Calculus", "prereqs": [], "retake_rate": 0.2, '
+    '"semester": 1}, {"cycle": "advanced", "fail_rate": 0.25, "id": "c2", "name": '
+    '"Mechanics", "prereqs": ["c1"], "retake_rate": 0.1, "semester": 5}], "ifc_weights": '
+    '{"w1": 0.5, "w2": 0.3, "w3": 0.2}}, "dynamics": {"d_fail": 0.04, '
+    '"external_hazard_base": 0.025, "r_gain": 0.02, "rho_floor": 0.125}, "horizon": 10, '
+    '"id": "pinned", "interventions": {"academic_support_factor": 0.9, '
+    '"curriculum_redesign_factor": 0.75, "financial_support_boost": 0.05}, "n_agents": 50, '
+    '"n_realisations": 3, "population": {"age_max": 33.0, "age_mean": 20.0, "age_min": 17.5, '
+    '"age_sd": 2.5, "displaced_share": 0.4, "gpa_max": 9.5, "gpa_mean": 7.5, "gpa_min": 5.5, '
+    '"gpa_sd": 1.25, "male_share": 0.7, "n_agents": 60, "parental_mean": 3.0, "parental_sd": '
+    '1.0, "rank_correlation": [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, '
+    '0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, '
+    '0.0], [0.0, 0.0, 0.5, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -0.25], [0.0, '
+    '0.0, 0.0, 0.0, 0.0, -0.25, 1.0]], "rho_mean": 0.55, "rho_sd": 0.15, "tau_mean": 0.2, '
+    '"tau_sd": 0.05}, "shock": {"alpha_str_eff": 0.45, "alpha_str_literal": 0.2, '
+    '"delta_inf_eff": 0.35, "delta_inf_literal": 0.04, "lambda_inf": 1.15, "lambda_str": '
+    '1.75, "shock_form": "paper-literal", "strike_schedule": {"1": 2.5, "10": 1.5}}}'
+)
+
+
+unit = st.floats(0.0, 1.0)
+multiplier = st.floats(1.0, 3.0)
+specs = st.builds(
+    ScenarioSpec,
+    id=st.text(min_size=1, max_size=8),
+    shock=st.builds(
+        ShockConfig, lambda_inf=multiplier, lambda_str=multiplier, delta_inf_eff=unit,
+        alpha_str_eff=unit,
+        strike_schedule=st.none() | st.dictionaries(st.integers(1, 12), multiplier, max_size=4),
+        shock_form=st.sampled_from([LINEAR_CENTRED, PAPER_LITERAL])),
+    interventions=st.builds(InterventionModifiers,
+                            academic_support_factor=st.floats(0.01, 1.0),
+                            curriculum_redesign_factor=st.floats(0.01, 1.0),
+                            financial_support_boost=st.floats(0.0, 0.2)),
+    n_agents=st.integers(1, 1000), n_realisations=st.integers(1, 1000),
+    horizon=st.integers(0, 12), base_seed=st.integers(0, 2**40), course_load=st.integers(1, 8),
+    population=st.builds(
+        PopulationParams, n_agents=st.integers(1, 1000), rho_mean=unit, rho_sd=unit,
+        tau_mean=unit, tau_sd=unit, male_share=unit,
+        rank_correlation=st.none() | st.floats(-0.9, 0.9).map(lambda c: identity_with((2, 4, c)))),
+    coefficients=st.builds(DecisionCoefficients, beta0=st.floats(-5.0, 5.0),
+                           beta1=st.floats(0.0, 3.0), beta4=st.floats(-1.0, 0.0)),
+    dynamics=st.builds(ResilienceDynamics, d_fail=unit, r_gain=unit, external_hazard_base=unit),
+)
+
+
 class TestSerialisation:
     def test_scenario_round_trip(self):
         spec = tiny_spec(shock=ShockConfig(lambda_inf=1.2, strike_schedule={1: 2.5}))
@@ -131,6 +229,17 @@ class TestSerialisation:
         restored = scenario_from_dict(doc)
         assert restored == spec
         assert restored.shock.strike_schedule == {1: 2.5}
+
+    def test_snapshot_format_is_pinned(self):
+        doc = scenario_to_dict(explicit_spec())
+        assert json.dumps(doc, sort_keys=True) == PINNED_SNAPSHOT
+        restored = scenario_from_dict(json.loads(PINNED_SNAPSHOT))
+        assert scenario_to_dict(restored) == doc
+
+    @settings(max_examples=50, deadline=None)
+    @given(specs)
+    def test_json_round_trip(self, spec):
+        assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(spec)))) == spec
 
     def test_sweep_round_trip(self):
         sweep = SweepSpec(lambda_inf_grid=(1.0, 1.1), lambda_str_grid=(1.0, 1.5),
