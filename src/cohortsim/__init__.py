@@ -14,13 +14,12 @@ from .curriculum import (
     standardised_ifc, validate_graph,
 )
 from .population import (
-    AgentState, DropoutCause, PopulationParams, SocioProfile, Status, Tercile,
-    generate_cohort, resilience_tercile, tercile_of,
+    Cohort, DropoutCause, PopulationParams, Status, Tercile, generate_cohort, tercile_of,
 )
 from .engine import (
-    CourseOutcome, DecisionCoefficients, InterventionModifiers, ResilienceDynamics,
-    ShockConfig, TrajectoryLog, attempt_course, continuation_probability,
-    inflation_depletion_factor, run_realisation, step_semester, strike_friction_multiplier,
+    AgentBatch, DecisionCoefficients, InterventionModifiers, ResilienceDynamics,
+    ShockConfig, TrajectoryLog, advance_semester, inflation_depletion_factor,
+    run_realisation, run_realisations, strike_friction_multiplier,
 )
 from .metrics import (
     HazardExcess, RunMetrics, SweepCell, SweepResult, amplification,

@@ -30,7 +30,7 @@ from .curriculum import (
     CurriculumError, curriculum_from_dict, default_curriculum, ifc_table_rows,
     load_curriculum, standardised_ifc, validate_graph,
 )
-from .engine import TRAJECTORY_HEADER, run_realisation, effective_graph, trajectory_csv_rows
+from .engine import TRAJECTORY_HEADER, effective_graph, run_realisations, trajectory_csv_rows
 from .featurelab import (
     FeatureError, MASK_CSV_HEADER, availability_mask_rows, build_feature_view,
     default_feature_catalog, feature_matrix_csv_rows, load_macro_series,
@@ -41,7 +41,8 @@ from .metrics import (
     curve_csv_rows, metrics_summary_rows, realisation_stats, sweep_csv_rows,
 )
 from .scenario import (
-    DEFAULT_BASE_SEED, ScenarioSpec, SweepSpec, builtin_scenario, ensemble_stats, run_sweep,
+    DEFAULT_BASE_SEED, ScenarioSpec, SweepSpec, builtin_scenario, ensemble_stats,
+    realisation_batches, run_sweep,
     scenario_from_dict, scenario_to_dict, sensitivity_run, spec_hash,
     sweep_from_dict, sweep_to_dict, BUILTIN_SCENARIO_IDS,
 )
@@ -217,11 +218,10 @@ def _cmd_run(args) -> int:
         with open(traj_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(TRAJECTORY_HEADER)
-            for index in range(spec.n_realisations):
-                log = run_realisation(spec, index, graph, record_rows=True)
-                for row in trajectory_csv_rows(log):
-                    writer.writerow(row)
-                stats.append(realisation_stats(log))
+            for batch in realisation_batches(spec.n_realisations):
+                for log in run_realisations(spec, batch, graph, record_rows=True):
+                    writer.writerows(trajectory_csv_rows(log))
+                    stats.append(realisation_stats(log))
         artifacts["trajectories"] = traj_path
     else:
         stats = ensemble_stats(spec, args.workers)

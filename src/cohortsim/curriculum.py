@@ -89,9 +89,12 @@ class CurriculumGraph:
 
     ``max_in_degree`` is the largest direct prerequisite count observed in the
     whole graph (at least 1 so the in-degree normalisation is well defined).
+    ``ifc_weights`` are the friction blend weights the graph came with; they
+    travel with it into its JSON form.  Two graphs are equal when their
+    ordered courses and weights are.
     """
 
-    def __init__(self, courses: Iterable[Course]):
+    def __init__(self, courses: Iterable[Course], ifc_weights: IFCWeights = IFCWeights()):
         ordered = sorted(courses, key=lambda c: (c.scheduled_semester, c.id))
         self._by_id: dict[str, Course] = {}
         for course in ordered:
@@ -100,6 +103,15 @@ class CurriculumGraph:
             self._by_id[course.id] = course
         self.courses: tuple[Course, ...] = tuple(ordered)
         self.max_in_degree: int = max([len(c.prerequisites) for c in ordered] or [0]) or 1
+        self.ifc_weights = ifc_weights
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CurriculumGraph):
+            return NotImplemented
+        return (self.courses, self.ifc_weights) == (other.courses, other.ifc_weights)
+
+    def __hash__(self) -> int:
+        return hash((self.courses, self.ifc_weights))
 
     def __len__(self) -> int:
         return len(self.courses)
@@ -120,7 +132,7 @@ class CurriculumGraph:
         return tuple(c for c in self.courses if c.cycle == cycle)
 
     def replace_courses(self, updated: Iterable[Course]) -> "CurriculumGraph":
-        return CurriculumGraph(updated)
+        return CurriculumGraph(updated, self.ifc_weights)
 
 
 def topological_order(graph: CurriculumGraph) -> list[str]:
@@ -329,7 +341,7 @@ def default_curriculum(weights: IFCWeights = IFCWeights()) -> CurriculumGraph:
                prerequisites=frozenset(pre), base_fail_rate=f, retake_rate=r)
         for i, n, cy, s, pre, f, r in _DEFAULT_COURSES
     ]
-    return standardised_ifc(CurriculumGraph(courses), weights)
+    return standardised_ifc(CurriculumGraph(courses, weights), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +393,7 @@ def curriculum_from_dict(doc: Mapping, *, path: str = "curriculum") -> tuple[Cur
         except (TypeError, ValueError) as exc:
             raise CurriculumError(f"{where}: {exc}") from None
     try:
-        return CurriculumGraph(courses), weights
+        return CurriculumGraph(courses, weights), weights
     except CurriculumError as exc:
         raise CurriculumError(f"{path}: {exc}") from None
 
@@ -392,7 +404,8 @@ def load_curriculum(path: str | Path) -> tuple[CurriculumGraph, IFCWeights]:
     return curriculum_from_dict(doc, path=str(path))
 
 
-def curriculum_to_dict(graph: CurriculumGraph, weights: IFCWeights = IFCWeights()) -> dict:
+def curriculum_to_dict(graph: CurriculumGraph) -> dict:
+    weights = graph.ifc_weights
     return {
         "courses": [
             {

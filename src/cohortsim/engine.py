@@ -1,6 +1,6 @@
-"""Semester-by-semester trajectory engine.
+"""Semester-by-semester trajectory engine over arrays of agents.
 
-Each simulated semester runs, per active agent: enrollment in up to
+Each simulated semester runs, per active agent: enrolment in up to
 ``course_load`` prerequisite-eligible courses (unresolved failures retried
 first, then lowest scheduled semester first), stochastic pass/fail under
 strike-amplified friction, a grade/GPA update, a resilience update under
@@ -21,19 +21,19 @@ semester, lambda_str = 2 gives +50% basic-cycle friction).  The alternative
 ``paper-literal`` form (1 + 0.25 * lambda_str and 1 - 0.03 * lambda_inf,
 which is not neutral at lambda = 1) is kept for sensitivity analysis.
 
-Randomness is drawn in fixed-size batches per semester -- ``course_load``
+Several realisations advance together as one struct of arrays
+(:class:`AgentBatch`: one entry per agent, courses as bitmasks).  Each keeps
+its own stream, drawn in fixed-size batches per semester -- ``course_load``
 uniforms, ``course_load`` grade deviates and one hazard uniform per agent,
-whether or not the agent uses them -- so a realisation's stream never depends
-on outcomes, worker scheduling, or shock intensity.  That makes runs
-bit-reproducible and gives common random numbers across scenario variants.
-"""
+used or not -- so its results depend neither on outcomes, shock intensity
+and worker scheduling nor on its batch companions.  That makes runs
+bit-reproducible and gives common random numbers across scenario variants."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -41,7 +41,10 @@ import numpy as np
 from .curriculum import (
     Course, CurriculumGraph, Cycle, apply_curriculum_redesign, default_curriculum,
 )
-from .population import AgentState, DropoutCause, Status, generate_cohort
+from .population import (
+    ACADEMIC, ACTIVE, DROPOUT, EXTERNAL, GRADUATED, NO_CAUSE, RESILIENCE_DEPLETION, STATUSES,
+    Cohort, agent_id, generate_cohort,
+)
 
 if TYPE_CHECKING:
     from .scenario import ScenarioSpec
@@ -161,37 +164,31 @@ class InterventionModifiers:
                 and self.financial_support_boost == 0.0)
 
 
-@dataclass(frozen=True)
-class CourseOutcome:
-    passed: bool
-    grade: float | None = None
-
-
-@dataclass(frozen=True)
-class SemesterLog:
-    """Per-semester agent rows: (agent id, status, gpa, rho, attempted, failed)."""
-
-    semester: int
-    rows: tuple[tuple, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryLog:
-    """Full record of one realisation: terminal agents plus optional rows."""
+    """One realisation: every agent's final state plus optional per-semester rows.
+
+    The arrays hold one entry per agent.  ``status`` and ``cause`` are codes
+    of :data:`~cohortsim.population.STATUSES` and ``CAUSES`` (cause -1: none);
+    ``exit_semester`` is 0 while active; ``failures`` counts failed attempts.
+    ``semesters`` holds, per simulated semester, one row per agent active at
+    its start: (agent id, semester, status, gpa, rho, attempted, failed).
+    """
 
     realisation_index: int
-    cohort_seed: int
     horizon: int
-    n_courses: int
-    agents: tuple[AgentState, ...]
-    semesters: tuple[SemesterLog, ...] = ()
+    status: np.ndarray
+    cause: np.ndarray
+    exit_semester: np.ndarray
+    gpa: np.ndarray
+    resilience: np.ndarray
+    initial_resilience: np.ndarray
+    failures: np.ndarray
+    semesters: tuple[tuple[tuple, ...], ...] = ()
 
-
-def _sigmoid(x: float) -> float:
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+    @property
+    def n_agents(self) -> int:
+        return len(self.status)
 
 
 def strike_friction_multiplier(config: ShockConfig, course: Course, semester: int) -> float:
@@ -229,158 +226,170 @@ def fail_probability(course: Course, config: ShockConfig, modifiers: Interventio
     return min(MAX_FAIL_PROBABILITY, max(0.0, p))
 
 
-def attempt_course(agent: AgentState, course: Course, config: ShockConfig,
-                   modifiers: InterventionModifiers, rng: np.random.Generator | None = None,
-                   *, u: float | None = None, grade_z: float | None = None,
-                   p: float | None = None, check: bool = True) -> CourseOutcome:
-    """Attempt one course, updating the agent's academic record in place.
+class AgentBatch:
+    """Engine state of a batch of cohorts, one array entry per agent (a row).
 
-    On a pass the grade is N(4 + 0.6 * secondary GPA, 1) clipped to [4, 10];
-    a failure is graded 2.  GPA is the running mean over all attempts.
-    ``u``/``grade_z``/``p`` allow the engine to supply pre-drawn randomness
-    and a pre-computed failure probability; otherwise they come from ``rng``.
+    Rows are cohort-major: cohort ``k``'s agent ``i`` is row ``k * n + i``
+    for cohorts of ``n`` agents.  Passed courses, and courses failed at least
+    once, are bitmasks over ``graph.courses`` (course ``c`` is bit ``c % 64``
+    of word ``c // 64``), stored as ``(words, rows)`` uint64 arrays.
     """
-    if check:
-        if agent.status is not Status.ACTIVE:
-            raise ValueError(f"agent {agent.id} is not active")
-        if not course.prerequisites <= agent.passed:
-            missing = sorted(course.prerequisites - agent.passed)
-            raise ValueError(
-                f"agent {agent.id} attempted {course.id!r} without prerequisites {missing}")
-    if p is None:
-        p = fail_probability(course, config, modifiers, agent.semester)
-    if u is None:
-        u = float(rng.random())
-    agent.graded_attempts += 1
-    if u < p:
-        agent.failed_attempts[course.id] = agent.failed_attempts.get(course.id, 0) + 1
-        agent.grade_points += 2.0
-        agent.gpa = agent.grade_points / agent.graded_attempts
-        return CourseOutcome(False)
-    if grade_z is None:
-        grade_z = float(rng.standard_normal())
-    grade = 4.0 + 0.6 * agent.profile.secondary_gpa + grade_z
-    if grade < 4.0:
-        grade = 4.0
-    elif grade > 10.0:
-        grade = 10.0
-    agent.passed.add(course.id)
-    agent.grade_points += grade
-    agent.gpa = agent.grade_points / agent.graded_attempts
-    return CourseOutcome(True, grade)
+
+    def __init__(self, cohorts: Sequence[Cohort], graph: CurriculumGraph):
+        self.graph = graph
+        self.secondary_gpa, self.parental_education, self.threshold, self.initial_resilience = (
+            np.concatenate([getattr(c, name) for c in cohorts])
+            for name in ("secondary_gpa", "parental_education", "threshold", "resilience"))
+        self.resilience = self.initial_resilience.copy()
+        rows, words = len(self.resilience), len(graph) // 64 + 1
+        self.passed, self.failed = np.zeros((2, words, rows), np.uint64)
+        self.n_passed, self.failures, self.attempts, self.exit_semester = np.zeros(
+            (4, rows), np.int64)
+        self.grade_points, self.gpa = np.zeros((2, rows))
+        self.status = np.full(rows, ACTIVE, np.int8)
+        self.cause = np.full(rows, NO_CAUSE, np.int8)
+        # each course's bit within its word; the empty slot -1 has none
+        self.bit = np.array([1 << c % 64 for c in range(len(graph))] + [0], np.uint64)
+        # each course's prerequisites as an int mask and a (words, 1) column; an
+        # unknown id stands for the course itself, a prerequisite never met
+        index = {course.id: c for c, course in enumerate(graph.courses)}
+        self.needs: list[tuple[int, np.ndarray]] = []
+        for c, course in enumerate(graph.courses):
+            mask = sum({1 << index.get(p, c) for p in course.prerequisites})
+            self.needs.append((mask, np.array(
+                [[mask >> 64 * w & (1 << 64) - 1] for w in range(words)], np.uint64)))
 
 
-def continuation_probability(agent: AgentState, graph: CurriculumGraph,
-                             coeffs: DecisionCoefficients) -> float:
-    """Probability the agent continues next semester, in (0, 1)."""
-    progress = len(agent.passed) / len(graph.courses)
-    x = (coeffs.beta0
-         + coeffs.beta1 * agent.gpa / 10.0
-         + coeffs.beta2 * progress
-         + coeffs.beta3 * agent.resilience
-         + coeffs.beta4 * agent.total_failures)
-    return _sigmoid(x)
+def _union(masks: np.ndarray, reduce=np.bitwise_or) -> int:
+    """``reduce`` over the rows of ``(words, rows)`` masks, as one int."""
+    return sum(int(x) << 64 * w for w, x in enumerate(reduce.reduce(masks, axis=1).tolist()))
 
 
-_SCHEDULE_ORDER = attrgetter("scheduled_semester", "id")
-
-
-def enroll(agent: AgentState, graph: CurriculumGraph, course_load: int = DEFAULT_COURSE_LOAD) -> list[Course]:
-    """Courses the agent takes this semester.
+def select_courses(state: AgentBatch, rows: np.ndarray, course_load: int) -> np.ndarray:
+    """Courses each of ``rows`` attempts this semester: ``(len(rows), course_load)`` indices.
 
     Unresolved failures are retried first (they were eligible when first
     attempted, and eligibility never regresses), then fresh prerequisite-
-    eligible courses in (scheduled semester, id) order, up to ``course_load``.
+    eligible courses in (scheduled semester, id) order -- the order of
+    ``graph.courses`` -- up to ``course_load``.  Unused slots hold -1.
     """
-    passed = agent.passed
-    failed = agent.failed_attempts
-    picks: list[Course] = []
-    pending = [cid for cid in failed if cid not in passed]
-    if pending:
-        picks.extend(sorted(map(graph.course, pending), key=_SCHEDULE_ORDER)[:course_load])
-    if len(picks) < course_load:
-        for course in graph.courses:
-            # a failed course not yet passed is pending and already picked
-            if course.id in passed or course.id in failed:
-                continue
-            if course.prerequisites <= passed:
-                picks.append(course)
-                if len(picks) == course_load:
-                    break
-    return picks
+    passed = state.passed[:, rows]
+    failed = state.failed[:, rows]
+    slots = np.full((len(rows), course_load), -1, np.intp)
+    count = np.zeros(len(rows), np.intp)
 
+    def take(c: int, eligible: np.ndarray) -> None:
+        pick = np.flatnonzero(eligible & (count < course_load))
+        slots[pick, count[pick]] = c
+        count[pick] += 1
 
-def step_semester(agents: Sequence[AgentState], graph: CurriculumGraph, config: ShockConfig,
-                  modifiers: InterventionModifiers, dynamics: ResilienceDynamics,
-                  coeffs: DecisionCoefficients, rng: np.random.Generator, semester: int,
-                  course_load: int = DEFAULT_COURSE_LOAD, record: bool = False) -> SemesterLog:
-    """Advance every active agent through one semester, in place.
-
-    End-of-semester evaluation order: graduation, then the external-
-    circumstance hazard, then the threshold decision on the continuation
-    probability.  Dropout causes follow the precedence external >
-    resilience-depletion > academic.
-    """
-    n = len(agents)
-    u_rows = rng.random((n, course_load)).tolist()
-    z_rows = rng.standard_normal((n, course_load)).tolist()
-    hazard_draws = rng.random(n).tolist()
-
-    infl_factor = inflation_depletion_factor(config)
-    any_basic = any(c.cycle is Cycle.BASIC for c in graph.courses)
-    basic_mult = (strike_friction_multiplier(config, next(c for c in graph.courses if c.cycle is Cycle.BASIC),
-                                             semester) if any_basic else 1.0)
-    support = modifiers.academic_support_factor
-    boost = modifiers.financial_support_boost
-    n_courses = len(graph)
-    basic = Cycle.BASIC
-    base_hazard = dynamics.external_hazard_base
-
-    rows: list[tuple] = []
-    for i, agent in enumerate(agents):
-        if agent.status is not Status.ACTIVE:
+    pending = failed & ~passed
+    any_pending = _union(pending)
+    for c in range(len(state.graph)):
+        if any_pending >> c & 1:
+            take(c, (pending[c // 64] & state.bit[c]) != 0)
+    taken = passed | failed
+    # skip courses nobody can take: taken by all, or a prerequisite passed by none
+    everyone_took = _union(taken, np.bitwise_and)
+    anyone_passed = _union(passed)
+    for c, (mask, column) in enumerate(state.needs):
+        if everyone_took >> c & 1 or mask & ~anyone_passed:
             continue
-        agent.semester = semester
-        u_row = u_rows[i]
-        z_row = z_rows[i]
+        take(c, ((taken[c // 64] & state.bit[c]) == 0) & ((passed & column) == column).all(axis=0))
+    return slots
 
-        enrolled = enroll(agent, graph, course_load)
-        failed_now: list[str] = []
-        for j, course in enumerate(enrolled):
-            mult = basic_mult if course.cycle is basic else 1.0
-            p = course.base_fail_rate * mult * support
-            if p > MAX_FAIL_PROBABILITY:
-                p = MAX_FAIL_PROBABILITY
-            outcome = attempt_course(agent, course, config, modifiers,
-                                     u=u_row[j], grade_z=z_row[j], p=p, check=False)
-            if not outcome.passed:
-                failed_now.append(course.id)
 
-        rho = agent.resilience * infl_factor - dynamics.d_fail * len(failed_now)
-        if not failed_now:
-            rho += dynamics.r_gain * (1.0 - rho)
-        if boost > 0.0 and agent.profile.parental_education <= 2:
-            rho += boost
-        agent.resilience = 0.0 if rho <= 0.0 else (1.0 if rho > 1.0 else rho)
+def grade_attempts(state: AgentBatch, rows: np.ndarray, slots: np.ndarray, u: np.ndarray,
+                   z: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Attempt the slotted courses of ``rows``, updating their records in place.
 
-        if len(agent.passed) == n_courses:
-            agent.mark_graduated(semester)
-        else:
-            eps = base_hazard * (6 - agent.profile.parental_education) / 3.0
-            if hazard_draws[i] < eps:
-                agent.mark_dropout(DropoutCause.EXTERNAL, semester)
-            else:
-                prob = continuation_probability(agent, graph, coeffs)
-                if prob < agent.threshold:
-                    cause = (DropoutCause.RESILIENCE_DEPLETION
-                             if agent.resilience < dynamics.rho_floor
-                             else DropoutCause.ACADEMIC)
-                    agent.mark_dropout(cause, semester)
+    Slot ``j`` fails when ``u[:, j] < p[course]``; a pass is graded
+    N(4 + 0.6 * secondary GPA, 1) clipped to [4, 10] with deviate ``z[:, j]``,
+    a failure 2.  Slots are applied column by column, so grade points add up
+    in attempt order; GPA is the running mean over all attempts.  Returns the
+    ``slots``-shaped failure flags.
+    """
+    secondary = state.secondary_gpa[rows]
+    points = state.grade_points[rows]
+    attempts = state.attempts[rows]
+    failed = np.zeros(slots.shape, bool)
+    for j in range(slots.shape[1]):
+        course = slots[:, j]
+        attempted = course >= 0
+        if not attempted.any():
+            break
+        failed[:, j] = fail = attempted & (u[:, j] < p[course])
+        passing = attempted & ~fail
+        grade = np.clip(4.0 + 0.6 * secondary + z[:, j], 4.0, 10.0)
+        points = points + np.where(fail, 2.0, np.where(passing, grade, 0.0))
+        attempts += attempted
+        state.n_passed[rows] += passing
+        word, bit = course // 64, state.bit[course]  # slot -1: last word, no bit
+        state.passed[word, rows] |= np.where(passing, bit, np.uint64(0))
+        state.failed[word, rows] |= np.where(fail, bit, np.uint64(0))
+    state.grade_points[rows] = points
+    state.attempts[rows] = attempts
+    state.failures[rows] += failed.sum(axis=1)
+    state.gpa[rows] = np.divide(points, attempts, out=state.gpa[rows], where=attempts > 0)
+    return failed
 
-        if record:
-            rows.append((agent.id, semester, agent.status.value, agent.gpa, agent.resilience,
-                         tuple(c.id for c in enrolled), tuple(failed_now)))
-    return SemesterLog(semester, tuple(rows))
+
+def continuation_probabilities(state: AgentBatch, rows: np.ndarray,
+                               coeffs: DecisionCoefficients) -> np.ndarray:
+    """Continuation probabilities of ``rows`` (see :class:`DecisionCoefficients`)."""
+    progress = state.n_passed[rows] / len(state.graph)
+    x = (coeffs.beta0
+         + coeffs.beta1 * state.gpa[rows] / 10.0
+         + coeffs.beta2 * progress
+         + coeffs.beta3 * state.resilience[rows]
+         + coeffs.beta4 * state.failures[rows])
+    # math.exp, not np.exp: the two differ in the last bit on some inputs
+    e = np.array([math.exp(v) for v in (-np.abs(x)).tolist()])
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def advance_semester(state: AgentBatch, scenario: "ScenarioSpec", u: np.ndarray, z: np.ndarray,
+                     hazard: np.ndarray, semester: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance every active row through one semester, in place.
+
+    ``u`` and ``z`` are ``(rows, course_load)`` uniforms and grade deviates,
+    ``hazard`` one uniform per row.  End-of-semester evaluation order:
+    graduation, then the external-circumstance hazard, then the threshold
+    decision on the continuation probability.  Dropout causes follow the
+    precedence external > resilience-depletion > academic.  Returns the rows
+    that were active, their course slots and their failure flags.
+    """
+    config, dynamics = scenario.shock, scenario.dynamics
+    rows = np.flatnonzero(state.status == ACTIVE)
+    slots = select_courses(state, rows, scenario.course_load)
+    p = np.array([fail_probability(c, config, scenario.interventions, semester)
+                  for c in state.graph.courses] + [0.0])
+    failed = grade_attempts(state, rows, slots, u[rows], z[rows], p)
+
+    n_failed = failed.sum(axis=1)
+    rho = state.resilience[rows] * inflation_depletion_factor(config) - dynamics.d_fail * n_failed
+    rho = np.where(n_failed == 0, rho + dynamics.r_gain * (1.0 - rho), rho)
+    parental = state.parental_education[rows]
+    rho = np.where(parental <= 2, rho + scenario.interventions.financial_support_boost, rho)
+    rho = np.where(rho <= 0.0, 0.0, np.where(rho > 1.0, 1.0, rho))
+    state.resilience[rows] = rho
+
+    graduated = state.n_passed[rows] == len(state.graph)
+    eps = dynamics.external_hazard_base * (6 - parental) / 3.0
+    external = ~graduated & (hazard[rows] < eps)
+    deciding = np.flatnonzero(~graduated & ~external)
+    leaving = deciding[continuation_probabilities(state, rows[deciding], scenario.coefficients)
+                       < state.threshold[rows[deciding]]]
+    depleted = rho[leaving] < dynamics.rho_floor
+
+    for where, status, cause in (
+            (rows[graduated], GRADUATED, NO_CAUSE),
+            (rows[external], DROPOUT, EXTERNAL),
+            (rows[leaving], DROPOUT, np.where(depleted, RESILIENCE_DEPLETION, ACADEMIC))):
+        state.status[where] = status
+        state.cause[where] = cause
+        state.exit_semester[where] = semester
+    return rows, slots, failed
 
 
 @lru_cache(maxsize=4)
@@ -397,45 +406,79 @@ def effective_graph(scenario: "ScenarioSpec") -> CurriculumGraph:
     return graph
 
 
+def _semester_rows(state: AgentBatch, n: int, rows, slots, failed, semester: int) -> list[tuple]:
+    ids = [c.id for c in state.graph.courses]
+    status = [STATUSES[s].value for s in state.status[rows].tolist()]
+    return [
+        (agent_id(row % n), semester, st, gpa, rho,
+         tuple(ids[c] for c in picks if c >= 0),
+         tuple(ids[c] for c, f in zip(picks, fails) if f))
+        for row, st, gpa, rho, picks, fails in zip(
+            rows.tolist(), status, state.gpa[rows].tolist(), state.resilience[rows].tolist(),
+            slots.tolist(), failed.tolist())
+    ]
+
+
+def run_realisations(scenario: "ScenarioSpec", indices: Sequence[int],
+                     prepared_graph: CurriculumGraph | None = None,
+                     record_rows: bool = False) -> list[TrajectoryLog]:
+    """Run several realisations of a scenario together, one log per index.
+
+    Realisation ``i`` draws its cohort from seed ``base_seed XOR i`` and its
+    engine stream from ``SeedSequence([seed, 1])``; each semester it takes
+    ``course_load`` uniforms, ``course_load`` grade deviates and one hazard
+    uniform per agent, so its results do not depend on which realisations
+    share its batch.  ``prepared_graph`` lets ensemble runners pass a
+    pre-built effective graph (redesign already applied).
+    """
+    if any(i < 0 for i in indices):
+        raise ValueError("realisation_index must be >= 0")
+    graph = prepared_graph if prepared_graph is not None else effective_graph(scenario)
+    population = scenario.population
+    if population.n_agents != scenario.n_agents:
+        population = replace(population, n_agents=scenario.n_agents)
+    seeds = [scenario.base_seed ^ i for i in indices]
+    state = AgentBatch([generate_cohort(population, seed) for seed in seeds], graph)
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, 1])) for seed in seeds]
+
+    n = scenario.n_agents
+    u, z = np.empty((2, len(seeds) * n, scenario.course_load))
+    hazard = np.empty(len(seeds) * n)
+    semesters: list[list[tuple]] = [[] for _ in indices]
+    live = list(range(len(indices)))
+    for t in range(1, scenario.horizon + 1):
+        for k in live:
+            block = slice(k * n, (k + 1) * n)
+            rngs[k].random(out=u[block])
+            rngs[k].standard_normal(out=z[block])
+            rngs[k].random(out=hazard[block])
+        rows, slots, failed = advance_semester(state, scenario, u, z, hazard, t)
+        if record_rows:
+            bounds = np.searchsorted(rows, np.arange(len(indices) + 1) * n).tolist()
+            for k in live:
+                part = slice(bounds[k], bounds[k + 1])
+                semesters[k].append(tuple(_semester_rows(
+                    state, n, rows[part], slots[part], failed[part], t)))
+        live = [k for k in live if (state.status[k * n:(k + 1) * n] == ACTIVE).any()]
+        if not live:
+            break
+
+    def log(k: int) -> TrajectoryLog:
+        block = slice(k * n, (k + 1) * n)
+        return TrajectoryLog(
+            realisation_index=indices[k], horizon=scenario.horizon,
+            status=state.status[block], cause=state.cause[block],
+            exit_semester=state.exit_semester[block], gpa=state.gpa[block],
+            resilience=state.resilience[block], initial_resilience=state.initial_resilience[block],
+            failures=state.failures[block], semesters=tuple(semesters[k]))
+    return [log(k) for k in range(len(indices))]
+
+
 def run_realisation(scenario: "ScenarioSpec", realisation_index: int,
                     prepared_graph: CurriculumGraph | None = None,
                     record_rows: bool = True) -> TrajectoryLog:
-    """Run one stochastic realisation of a scenario.
-
-    The cohort seed is ``base_seed XOR realisation_index``; the engine stream
-    is derived from the same entropy, so results are deterministic per
-    (scenario, index) and independent across indices.  ``prepared_graph``
-    lets ensemble runners pass a pre-built effective graph (redesign already
-    applied); when omitted it is derived from the scenario.
-    """
-    if realisation_index < 0:
-        raise ValueError("realisation_index must be >= 0")
-    graph = prepared_graph if prepared_graph is not None else effective_graph(scenario)
-    seed = scenario.base_seed ^ realisation_index
-    population = scenario.population
-    if population.n_agents != scenario.n_agents:
-        from dataclasses import replace
-        population = replace(population, n_agents=scenario.n_agents)
-    agents = generate_cohort(population, seed)
-    engine_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-
-    logs: list[SemesterLog] = []
-    for t in range(1, scenario.horizon + 1):
-        log = step_semester(agents, graph, scenario.shock, scenario.interventions,
-                            scenario.dynamics, scenario.coefficients, engine_rng, t,
-                            scenario.course_load, record=record_rows)
-        if record_rows:
-            logs.append(log)
-        if not any(a.status is Status.ACTIVE for a in agents):
-            break
-    return TrajectoryLog(
-        realisation_index=realisation_index,
-        cohort_seed=seed,
-        horizon=scenario.horizon,
-        n_courses=len(graph),
-        agents=tuple(agents),
-        semesters=tuple(logs),
-    )
+    """Run one stochastic realisation of a scenario (see :func:`run_realisations`)."""
+    return run_realisations(scenario, [realisation_index], prepared_graph, record_rows)[0]
 
 
 TRAJECTORY_HEADER = ("realisation", "agent_id", "semester", "status", "gpa",
@@ -445,8 +488,8 @@ TRAJECTORY_HEADER = ("realisation", "agent_id", "semester", "status", "gpa",
 def trajectory_csv_rows(log: TrajectoryLog) -> list[tuple]:
     """Flatten a trajectory log to one row per agent-semester."""
     out = []
-    for sem in log.semesters:
-        for agent_id, semester, status, gpa, rho, attempted, failed in sem.rows:
-            out.append((log.realisation_index, agent_id, semester, status, gpa, rho,
+    for rows in log.semesters:
+        for agent, semester, status, gpa, rho, attempted, failed in rows:
+            out.append((log.realisation_index, agent, semester, status, gpa, rho,
                         ";".join(attempted), ";".join(failed)))
     return out

@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .curriculum import CurriculumGraph, Cycle
 from .engine import TrajectoryLog
+from .population import agent_id
 
 MONTHS_PER_SEMESTER = 6
 BASIC_CYCLE_SEMESTERS = 4
@@ -319,15 +320,15 @@ def student_records_from_log(log: TrajectoryLog, entry_month: int, entry_semeste
     if not log.semesters:
         raise FeatureError("trajectory log has no per-semester rows; rerun with recording on")
     takings: dict[str, list[tuple[str, int]]] = {}
-    for sem in log.semesters:
-        for agent_id, semester, _status, _gpa, _rho, attempted, _failed in sem.rows:
+    for rows in log.semesters:
+        for agent, semester, _status, _gpa, _rho, attempted, _failed in rows:
             absolute = entry_semester + semester - 1
-            takings.setdefault(agent_id, []).extend((cid, absolute) for cid in attempted)
+            takings.setdefault(agent, []).extend((cid, absolute) for cid in attempted)
     return [
-        StudentRecord(student_id=agent.id, entry_month=entry_month,
+        StudentRecord(student_id=agent, entry_month=entry_month,
                       entry_semester=entry_semester, cohort_year=cohort_year,
-                      takings=tuple(takings.get(agent.id, ())))
-        for agent in log.agents
+                      takings=tuple(takings.get(agent, ())))
+        for agent in map(agent_id, range(log.n_agents))
     ]
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import TrajectoryLog
-from .population import DropoutCause, Status, Tercile, tercile_of
+from .population import CAUSES, DROPOUT, DropoutCause, Tercile, tercile_index
 
 EARLY_CYCLE_LAST_SEMESTER = 4
 
@@ -42,39 +42,21 @@ class RealisationStats:
 
 
 def realisation_stats(log: TrajectoryLog) -> RealisationStats:
-    n = len(log.agents)
+    n = log.n_agents
     horizon = log.horizon
-    dropouts_by_sem = [0] * horizon
-    exits_by_sem = [0] * horizon
-    ttd: list[int] = []
-    causes = {c.value: 0 for c in DropoutCause}
-    terc_drop = {t.value: 0 for t in Tercile}
-    terc_size = {t.value: 0 for t in Tercile}
+    exits = log.exit_semester
+    dropout = log.status == DROPOUT
+    dropout_exits = exits[dropout]
+    terciles = tercile_index(log.initial_resilience)
 
-    early = 0
-    late = 0
-    total = 0
-    for agent in log.agents:
-        terc = tercile_of(agent.initial_resilience).value
-        terc_size[terc] += 1
-        if agent.exit_semester is not None and 1 <= agent.exit_semester <= horizon:
-            exits_by_sem[agent.exit_semester - 1] += 1
-        if agent.status is Status.DROPOUT:
-            total += 1
-            terc_drop[terc] += 1
-            causes[agent.dropout_cause.value] += 1
-            ttd.append(agent.exit_semester)
-            dropouts_by_sem[agent.exit_semester - 1] += 1
-            if agent.exit_semester <= EARLY_CYCLE_LAST_SEMESTER:
-                early += 1
-            else:
-                late += 1
+    def counts(values, length):
+        return np.bincount(values, minlength=length)[:length].tolist()
 
-    at_risk = []
-    alive = n
-    for t in range(horizon):
-        at_risk.append(alive)
-        alive -= exits_by_sem[t]
+    exits_by_sem = np.bincount(exits, minlength=horizon + 1)[1:horizon + 1]  # 0: still active
+    total = len(dropout_exits)
+    early = int(np.count_nonzero(dropout_exits <= EARLY_CYCLE_LAST_SEMESTER))
+    late = total - early
+    at_risk = n - np.cumsum(exits_by_sem) + exits_by_sem
     survivors_early = n - early
     return RealisationStats(
         n_agents=n,
@@ -82,12 +64,12 @@ def realisation_stats(log: TrajectoryLog) -> RealisationStats:
         d_total=total / n,
         d_early=early / n,
         d_late_conditional=(late / survivors_early) if survivors_early else 0.0,
-        dropouts_by_semester=tuple(dropouts_by_sem),
-        at_risk_by_semester=tuple(at_risk),
-        times_to_dropout=tuple(ttd),
-        cause_counts=causes,
-        tercile_dropouts=terc_drop,
-        tercile_sizes=terc_size,
+        dropouts_by_semester=tuple(counts(dropout_exits, horizon + 1)[1:]),
+        at_risk_by_semester=tuple(at_risk.tolist()),
+        times_to_dropout=tuple(dropout_exits.tolist()),
+        cause_counts=dict(zip((c.value for c in CAUSES), counts(log.cause[dropout], len(CAUSES)))),
+        tercile_dropouts=dict(zip((t.value for t in Tercile), counts(terciles[dropout], 3))),
+        tercile_sizes=dict(zip((t.value for t in Tercile), counts(terciles, 3))),
     )
 
 

@@ -12,9 +12,8 @@ distinct seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -38,68 +37,40 @@ class Tercile(str, Enum):
     HIGH = "high"
 
 
-@dataclass(frozen=True)
-class SocioProfile:
-    """Fixed pre-entry attributes of one student."""
-
-    age_at_entry: float
-    gender: int  # 1 = male, 0 = female
-    secondary_gpa: float  # 0-10 scale, observed range [5, 10]
-    displaced: int  # 1 = relocated to study
-    parental_education: int  # 1-5 scale
-
-    def __post_init__(self) -> None:
-        if not 17.0 <= self.age_at_entry <= 34.0:
-            raise ValueError("age_at_entry must be in [17, 34]")
-        if not 5.0 <= self.secondary_gpa <= 10.0:
-            raise ValueError("secondary_gpa must be in [5, 10]")
-        if self.parental_education not in (1, 2, 3, 4, 5):
-            raise ValueError("parental_education must be in 1..5")
-        if self.gender not in (0, 1) or self.displaced not in (0, 1):
-            raise ValueError("gender and displaced must be binary")
+#: The engine stores statuses and dropout causes as small integer codes:
+#: status code ``i`` is ``STATUSES[i]`` and cause code ``i`` is ``CAUSES[i]``,
+#: with -1 for "no cause".  Status transitions are one-way: active -> dropout |
+#: graduated.
+STATUSES = tuple(Status)
+CAUSES = tuple(DropoutCause)
+ACTIVE, DROPOUT, GRADUATED = range(3)
+ACADEMIC, RESILIENCE_DEPLETION, EXTERNAL = range(3)
+NO_CAUSE = -1
 
 
-@dataclass
-class AgentState:
-    """Mutable per-student simulation state.
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """Pre-entry attributes and latent parameters of a cohort, one array entry per agent.
 
-    GPA is the running mean over all graded attempts (failures graded 2).
-    ``resilience`` is clipped to [0, 1] at every update; ``initial_resilience``
-    preserves the entry value for tercile disaggregation.  Status transitions
-    are one-way: active -> dropout | graduated.
+    Agent ``i`` has id :func:`agent_id` ``(i)``.  ``resilience`` is the entry
+    value of the reserve in [0, 1]; ``threshold`` is the continuation-
+    probability threshold below which the agent leaves.
     """
 
-    id: str
-    profile: SocioProfile
-    resilience: float
-    threshold: float
-    initial_resilience: float
-    semester: int = 1
-    passed: set[str] = field(default_factory=set)
-    failed_attempts: dict[str, int] = field(default_factory=dict)
-    gpa: float = 0.0
-    grade_points: float = 0.0
-    graded_attempts: int = 0
-    status: Status = Status.ACTIVE
-    dropout_cause: DropoutCause | None = None
-    exit_semester: int | None = None
+    age_at_entry: np.ndarray
+    gender: np.ndarray  # 1 = male, 0 = female
+    secondary_gpa: np.ndarray  # 0-10 scale, observed range [5, 10]
+    displaced: np.ndarray  # 1 = relocated to study
+    parental_education: np.ndarray  # 1-5 scale
+    resilience: np.ndarray
+    threshold: np.ndarray
 
-    @property
-    def total_failures(self) -> int:
-        return sum(self.failed_attempts.values())
+    def __len__(self) -> int:
+        return len(self.resilience)
 
-    def mark_dropout(self, cause: DropoutCause, semester: int) -> None:
-        if self.status is not Status.ACTIVE:
-            raise ValueError(f"agent {self.id}: cannot drop out from status {self.status.value}")
-        self.status = Status.DROPOUT
-        self.dropout_cause = cause
-        self.exit_semester = semester
 
-    def mark_graduated(self, semester: int) -> None:
-        if self.status is not Status.ACTIVE:
-            raise ValueError(f"agent {self.id}: cannot graduate from status {self.status.value}")
-        self.status = Status.GRADUATED
-        self.exit_semester = semester
+def agent_id(index: int) -> str:
+    return f"a{index:04d}"
 
 
 #: Attribute order used by the latent-correlation hook.
@@ -166,7 +137,7 @@ class PopulationParams:
             object.__setattr__(self, "rank_correlation", tuple(map(tuple, m.tolist())))
 
 
-def generate_cohort(params: PopulationParams, rng_seed: int) -> list[AgentState]:
+def generate_cohort(params: PopulationParams, rng_seed: int) -> Cohort:
     """Draw a cohort of ``params.n_agents`` agents, deterministic in the seed."""
     rng = np.random.default_rng(rng_seed)
     n = params.n_agents
@@ -174,50 +145,32 @@ def generate_cohort(params: PopulationParams, rng_seed: int) -> list[AgentState]
     if params.rank_correlation is not None:
         z = z @ np.linalg.cholesky(np.asarray(params.rank_correlation)).T
 
-    age = np.clip(params.age_mean + params.age_sd * z[:, 0], params.age_min, params.age_max)
-    gender = (ndtr(z[:, 1]) < params.male_share).astype(int)
-    gpa = np.clip(params.gpa_mean + params.gpa_sd * z[:, 2], params.gpa_min, params.gpa_max)
-    displaced = (ndtr(z[:, 3]) < params.displaced_share).astype(int)
-    parental = np.clip(np.rint(params.parental_mean + params.parental_sd * z[:, 4]), 1, 5).astype(int)
-    rho = np.clip(params.rho_mean + params.rho_sd * z[:, 5], 0.0, 1.0)
-    tau = np.clip(params.tau_mean + params.tau_sd * z[:, 6], 0.01, 0.5)
+    return Cohort(
+        age_at_entry=np.clip(params.age_mean + params.age_sd * z[:, 0],
+                             params.age_min, params.age_max),
+        gender=(ndtr(z[:, 1]) < params.male_share).astype(int),
+        secondary_gpa=np.clip(params.gpa_mean + params.gpa_sd * z[:, 2],
+                              params.gpa_min, params.gpa_max),
+        displaced=(ndtr(z[:, 3]) < params.displaced_share).astype(int),
+        parental_education=np.clip(
+            np.rint(params.parental_mean + params.parental_sd * z[:, 4]), 1, 5).astype(int),
+        resilience=np.clip(params.rho_mean + params.rho_sd * z[:, 5], 0.0, 1.0),
+        threshold=np.clip(params.tau_mean + params.tau_sd * z[:, 6], 0.01, 0.5),
+    )
 
-    agents = []
-    for i in range(n):
-        profile = SocioProfile(
-            age_at_entry=float(age[i]),
-            gender=int(gender[i]),
-            secondary_gpa=float(gpa[i]),
-            displaced=int(displaced[i]),
-            parental_education=int(parental[i]),
-        )
-        agents.append(AgentState(
-            id=f"a{i:04d}",
-            profile=profile,
-            resilience=float(rho[i]),
-            threshold=float(tau[i]),
-            initial_resilience=float(rho[i]),
-        ))
-    return agents
+
+def tercile_index(rho):
+    """Position in ``tuple(Tercile)`` of a resilience value or array:
+    low < 0.4 <= mid <= 0.6 < high."""
+    return np.add(rho >= 0.4, rho > 0.6, dtype=np.int8)
 
 
 def tercile_of(rho: float) -> Tercile:
-    """Tercile bucket of a resilience value: low < 0.4 <= mid <= 0.6 < high."""
-    if rho < 0.4:
-        return Tercile.LOW
-    if rho <= 0.6:
-        return Tercile.MID
-    return Tercile.HIGH
+    """Tercile bucket of one resilience value."""
+    return tuple(Tercile)[tercile_index(rho)]
 
 
-def resilience_tercile(agent: AgentState) -> Tercile:
-    return tercile_of(agent.resilience)
-
-
-def cohort_csv_rows(agents: Sequence[AgentState]) -> list[tuple]:
+def cohort_csv_rows(cohort: Cohort) -> list[tuple]:
     """One row per agent with pre-entry attributes, for CSV inspection."""
-    return [
-        (a.id, a.profile.age_at_entry, a.profile.gender, a.profile.secondary_gpa,
-         a.profile.displaced, a.profile.parental_education, a.resilience, a.threshold)
-        for a in agents
-    ]
+    columns = (getattr(cohort, f.name).tolist() for f in fields(cohort))
+    return [(agent_id(i), *row) for i, row in enumerate(zip(*columns))]

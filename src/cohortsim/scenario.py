@@ -26,7 +26,7 @@ from .curriculum import CurriculumGraph, curriculum_from_dict, curriculum_to_dic
 from .engine import (
     DecisionCoefficients, InterventionModifiers, ResilienceDynamics, ShockConfig,
     LINEAR_CENTRED, PAPER_LITERAL, DEFAULT_COURSE_LOAD,
-    effective_graph, run_realisation,
+    effective_graph, run_realisations,
 )
 from .metrics import (
     RunMetrics, SweepCell, SweepResult, aggregate_stats, amplification_ci,
@@ -59,6 +59,10 @@ INTERVENTION_LEVERS: dict[str, tuple[str, ...]] = {
 }
 
 
+class _FieldError(ValueError):
+    """A validation error whose message starts with the offending field's path."""
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Complete, self-contained description of one simulation scenario."""
@@ -84,6 +88,10 @@ class ScenarioSpec:
         # horizon 0 is tolerated as the degenerate empty run
         if not 0 <= self.horizon <= 12:
             raise ValueError("horizon must be in 0..12")
+        late = [t for t in self.shock.strike_schedule or () if t > self.horizon]
+        if late:
+            raise _FieldError(f"shock.strike_schedule: semester {max(late)} is beyond "
+                              f"the horizon {self.horizon}")
         if self.base_seed < 0:
             raise ValueError("base_seed must be >= 0")
         if self.course_load < 1:
@@ -121,25 +129,36 @@ def builtin_scenario(scenario_id: str, base_seed: int = DEFAULT_BASE_SEED) -> Sc
 # Ensemble execution
 # ---------------------------------------------------------------------------
 
-def _ensemble_chunk(payload: tuple[ScenarioSpec, tuple[int, ...]]) -> list[RealisationStats]:
-    spec, indices = payload
-    graph = effective_graph(spec)
-    return [realisation_stats(run_realisation(spec, i, graph, record_rows=False))
-            for i in indices]
+#: Realisations advanced together by the ensemble runners.  Results do not
+#: depend on it; it bounds a batch's memory.
+BATCH_REALISATIONS = 10
+
+
+def realisation_batches(n_realisations: int) -> list[tuple[int, ...]]:
+    """Indices ``0..n-1`` in consecutive batches of :data:`BATCH_REALISATIONS`."""
+    return [tuple(range(i, min(i + BATCH_REALISATIONS, n_realisations)))
+            for i in range(0, n_realisations, BATCH_REALISATIONS)]
+
+
+def _ensemble_chunk(payload: tuple[ScenarioSpec, CurriculumGraph, tuple[int, ...]]
+                    ) -> list[RealisationStats]:
+    spec, graph, indices = payload
+    return [realisation_stats(log) for log in run_realisations(spec, indices, graph)]
 
 
 def ensemble_stats(spec: ScenarioSpec, workers: int = 1) -> list[RealisationStats]:
-    """Per-realisation stats for a whole ensemble, ordered by index."""
-    indices = list(range(spec.n_realisations))
-    if workers <= 1 or spec.n_realisations == 1:
-        return _ensemble_chunk((spec, tuple(indices)))
-    chunk_size = max(1, (len(indices) + workers * 4 - 1) // (workers * 4))
-    chunks = [tuple(indices[i:i + chunk_size]) for i in range(0, len(indices), chunk_size)]
-    stats: list[RealisationStats] = []
+    """Per-realisation stats for a whole ensemble, ordered by index.
+
+    Realisations run in batches of :data:`BATCH_REALISATIONS`; with
+    ``workers`` > 1 the batches are spread over a process pool.  The result
+    depends on neither.
+    """
+    graph = effective_graph(spec)
+    payloads = [(spec, graph, chunk) for chunk in realisation_batches(spec.n_realisations)]
+    if workers <= 1 or len(payloads) == 1:
+        return [s for payload in payloads for s in _ensemble_chunk(payload)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_ensemble_chunk, [(spec, c) for c in chunks]):
-            stats.extend(part)
-    return stats
+        return [s for part in pool.map(_ensemble_chunk, payloads) for s in part]
 
 
 def run_ensemble(spec: ScenarioSpec, workers: int = 1,
@@ -309,11 +328,13 @@ def _qualitative_checks(spec: ScenarioSpec, workers: int,
         return replace(spec, shock=replace(spec.shock, lambda_inf=li, lambda_str=ls,
                                            strike_schedule=schedule))
 
+    pulse = {1: 2.5} if spec.horizon else None  # a pulse past the horizon is invalid
+
     m_base = run_ensemble(shocked(1.0, 1.0), workers, resamples)
     m_inf = run_ensemble(shocked(1.2, 1.0), workers, resamples)
     m_str = run_ensemble(shocked(1.0, 2.0), workers, resamples)
     m_both = run_ensemble(shocked(1.2, 2.0), workers, resamples)
-    m_pulse = run_ensemble(shocked(1.0, 1.0, {1: 2.5}), workers, resamples)
+    m_pulse = run_ensemble(shocked(1.0, 1.0, pulse), workers, resamples)
 
     a_point, a_ci = amplification_ci(
         *(m.d_total_by_realisation for m in (m_both, m_inf, m_str, m_base)),
@@ -430,6 +451,8 @@ def _build(cls, doc: Mapping, path: str):
         kwargs[key] = value
     try:
         return cls(**kwargs)
+    except _FieldError as exc:
+        raise ValueError(f"{path}.{exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -82,6 +82,26 @@ class TestRunCommand:
         assert run_cli("run", "--spec", spec_path, "--out", tmp_path / "x", *TINY) == 1
         assert "scenario.population" in capsys.readouterr().err
 
+    def test_strike_schedule_past_horizon_exits_one(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"horizon": 4, "shock": {"strike_schedule": {"6": 2.0}}}))
+        assert run_cli("run", "--spec", spec_path, "--out", tmp_path / "x") == 1
+        assert "scenario.shock.strike_schedule" in capsys.readouterr().err
+
+    def test_inline_curriculum_ifc_weights_replayed(self, tmp_path):
+        curriculum = curriculum_to_dict(default_curriculum())
+        curriculum["ifc_weights"] = {"w1": 0.6, "w2": 0.2, "w3": 0.2}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"curriculum": curriculum}))
+        out1, out2 = tmp_path / "orig", tmp_path / "replay"
+        assert run_cli("run", "--spec", spec_path, "--out", out1, *TINY) == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        assert manifest["parameters"]["scenario"]["curriculum"]["ifc_weights"] == {
+            "w1": 0.6, "w2": 0.2, "w3": 0.2}
+        assert run_cli("run", "--from-manifest", out1 / "manifest.json", "--out", out2) == 0
+        for name in ("metrics_summary.csv", "dropout_curve.csv", "manifest.json"):
+            assert read(out1 / name) == read(out2 / name)
+
 
 class TestSweepCommand:
     def test_tiny_grid(self, tmp_path):

@@ -14,6 +14,7 @@ import pytest
 
 from cohortsim.cli import main as cli_main
 from cohortsim.engine import ShockConfig, run_realisation
+from cohortsim.population import CAUSES, STATUSES, agent_id
 from cohortsim.scenario import builtin_scenario
 
 REALISATIONS = 4
@@ -50,10 +51,12 @@ def case_spec(name):
 
 
 def outcome_lines(log):
-    for a in log.agents:
-        cause = a.dropout_cause.value if a.dropout_cause else "-"
-        yield (f"{a.id} {a.status.value} {cause} {a.exit_semester or 0} "
-               f"{a.gpa.hex()} {a.resilience.hex()}")
+    for i, (status, cause, exit_semester, gpa, rho) in enumerate(zip(
+            log.status.tolist(), log.cause.tolist(), log.exit_semester.tolist(),
+            log.gpa.tolist(), log.resilience.tolist())):
+        cause = CAUSES[cause].value if cause >= 0 else "-"
+        yield (f"{agent_id(i)} {STATUSES[status].value} {cause} {exit_semester} "
+               f"{gpa.hex()} {rho.hex()}")
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))

@@ -8,25 +8,26 @@ from cohortsim.engine import TrajectoryLog
 from cohortsim.metrics import (
     aggregate_stats, amplification, amplification_ci, hazard_curve, hazard_excess, realisation_stats,
 )
-from cohortsim.population import AgentState, DropoutCause, SocioProfile, Status
+from cohortsim.population import CAUSES, NO_CAUSE, STATUSES, DropoutCause, Status
 
 
 def make_agent(idx, status=Status.ACTIVE, exit_semester=None,
                cause=DropoutCause.ACADEMIC, rho0=0.5):
-    profile = SocioProfile(age_at_entry=19.0, gender=1, secondary_gpa=7.5,
-                           displaced=0, parental_education=3)
-    agent = AgentState(id=f"a{idx:04d}", profile=profile, resilience=rho0,
-                       threshold=0.2, initial_resilience=rho0)
-    if status is Status.DROPOUT:
-        agent.mark_dropout(cause, exit_semester)
-    elif status is Status.GRADUATED:
-        agent.mark_graduated(exit_semester)
-    return agent
+    """Agent ``idx``'s final (status, cause, exit semester, initial resilience) codes.
+
+    A log orders its agents by position, so ``idx`` only documents the call.
+    """
+    return (STATUSES.index(status),
+            CAUSES.index(cause) if status is Status.DROPOUT else NO_CAUSE,
+            exit_semester or 0, rho0)
 
 
 def make_log(index, agents, horizon=12):
-    return TrajectoryLog(realisation_index=index, cohort_seed=index, horizon=horizon,
-                         n_courses=40, agents=tuple(agents))
+    status, cause, exit_semester, rho0 = (np.array(column) for column in zip(*agents))
+    n = len(agents)
+    return TrajectoryLog(realisation_index=index, horizon=horizon, status=status, cause=cause,
+                         exit_semester=exit_semester, gpa=np.zeros(n), resilience=rho0,
+                         initial_resilience=rho0, failures=np.zeros(n, int))
 
 
 def aggregate(logs, horizon):

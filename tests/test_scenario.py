@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohortsim.curriculum import Course, CurriculumGraph, Cycle
+from cohortsim.curriculum import Course, CurriculumGraph, Cycle, IFCWeights
 from cohortsim.engine import (
     DecisionCoefficients, InterventionModifiers, LINEAR_CENTRED, PAPER_LITERAL,
     ResilienceDynamics, ShockConfig,
@@ -198,28 +198,55 @@ PINNED_SNAPSHOT = (
 
 unit = st.floats(0.0, 1.0)
 multiplier = st.floats(1.0, 3.0)
-specs = st.builds(
-    ScenarioSpec,
-    id=st.text(min_size=1, max_size=8),
-    shock=st.builds(
-        ShockConfig, lambda_inf=multiplier, lambda_str=multiplier, delta_inf_eff=unit,
-        alpha_str_eff=unit,
-        strike_schedule=st.none() | st.dictionaries(st.integers(1, 12), multiplier, max_size=4),
-        shock_form=st.sampled_from([LINEAR_CENTRED, PAPER_LITERAL])),
-    interventions=st.builds(InterventionModifiers,
-                            academic_support_factor=st.floats(0.01, 1.0),
-                            curriculum_redesign_factor=st.floats(0.01, 1.0),
-                            financial_support_boost=st.floats(0.0, 0.2)),
-    n_agents=st.integers(1, 1000), n_realisations=st.integers(1, 1000),
-    horizon=st.integers(0, 12), base_seed=st.integers(0, 2**40), course_load=st.integers(1, 8),
-    population=st.builds(
-        PopulationParams, n_agents=st.integers(1, 1000), rho_mean=unit, rho_sd=unit,
-        tau_mean=unit, tau_sd=unit, male_share=unit,
-        rank_correlation=st.none() | st.floats(-0.9, 0.9).map(lambda c: identity_with((2, 4, c)))),
-    coefficients=st.builds(DecisionCoefficients, beta0=st.floats(-5.0, 5.0),
-                           beta1=st.floats(0.0, 3.0), beta4=st.floats(-1.0, 0.0)),
-    dynamics=st.builds(ResilienceDynamics, d_fail=unit, r_gain=unit, external_hazard_base=unit),
-)
+
+
+@st.composite
+def curricula(draw):
+    """Inline curricula: up to six courses, prerequisites among earlier ones."""
+    courses = []
+    for i in range(draw(st.integers(1, 6))):
+        prereqs = draw(st.sets(st.sampled_from([f"c{j}" for j in range(i)]))) if i else set()
+        courses.append(Course(
+            id=f"c{i}", name=draw(st.text(max_size=8)), cycle=draw(st.sampled_from(Cycle)),
+            scheduled_semester=draw(st.integers(1, 12)), prerequisites=frozenset(prereqs),
+            base_fail_rate=draw(unit), retake_rate=draw(unit)))
+    weights = draw(st.sampled_from([IFCWeights(), IFCWeights(0.6, 0.2, 0.2),
+                                    IFCWeights(1.0, 0.0, 0.0)]))
+    return CurriculumGraph(courses, weights)
+
+
+def specs_with_horizon(horizon):
+    schedules = st.none()
+    if horizon:
+        schedules |= st.dictionaries(st.integers(1, horizon), multiplier, max_size=4)
+    return st.builds(
+        ScenarioSpec,
+        id=st.text(min_size=1, max_size=8),
+        shock=st.builds(
+            ShockConfig, lambda_inf=multiplier, lambda_str=multiplier, delta_inf_eff=unit,
+            alpha_str_eff=unit, strike_schedule=schedules,
+            shock_form=st.sampled_from([LINEAR_CENTRED, PAPER_LITERAL])),
+        interventions=st.builds(InterventionModifiers,
+                                academic_support_factor=st.floats(0.01, 1.0),
+                                curriculum_redesign_factor=st.floats(0.01, 1.0),
+                                financial_support_boost=st.floats(0.0, 0.2)),
+        n_agents=st.integers(1, 1000), n_realisations=st.integers(1, 1000),
+        horizon=st.just(horizon), base_seed=st.integers(0, 2**40),
+        course_load=st.integers(1, 8),
+        population=st.builds(
+            PopulationParams, n_agents=st.integers(1, 1000), rho_mean=unit, rho_sd=unit,
+            tau_mean=unit, tau_sd=unit, male_share=unit,
+            rank_correlation=st.none() | st.floats(-0.9, 0.9).map(
+                lambda c: identity_with((2, 4, c)))),
+        coefficients=st.builds(DecisionCoefficients, beta0=st.floats(-5.0, 5.0),
+                               beta1=st.floats(0.0, 3.0), beta4=st.floats(-1.0, 0.0)),
+        dynamics=st.builds(ResilienceDynamics, d_fail=unit, r_gain=unit,
+                           external_hazard_base=unit),
+        curriculum=st.none() | curricula(),
+    )
+
+
+specs = st.integers(0, 12).flatmap(specs_with_horizon)
 
 
 class TestSerialisation:
@@ -259,6 +286,27 @@ class TestSerialisation:
     def test_spec_hash_stable_under_key_order(self):
         assert spec_hash({"a": 1, "b": [1, 2]}) == spec_hash({"b": [1, 2], "a": 1})
         assert spec_hash({"a": 1}) != spec_hash({"a": 2})
+
+    def test_equal_curricula_compare_equal(self):
+        a, b = explicit_spec(), explicit_spec()
+        assert a.curriculum is not b.curriculum
+        assert a == b and hash(a.curriculum) == hash(b.curriculum)
+        reweighted = CurriculumGraph(a.curriculum.courses, IFCWeights(0.6, 0.2, 0.2))
+        assert reweighted != a.curriculum
+
+    def test_inline_ifc_weights_survive_the_snapshot(self):
+        doc = scenario_to_dict(explicit_spec())
+        doc["curriculum"]["ifc_weights"] = {"w1": 0.6, "w2": 0.2, "w3": 0.2}
+        spec = scenario_from_dict(doc)
+        assert spec.curriculum.ifc_weights == IFCWeights(0.6, 0.2, 0.2)
+        assert scenario_to_dict(spec) == doc
+
+    def test_strike_schedule_past_horizon_rejected(self):
+        with pytest.raises(ValueError, match="semester 7 is beyond the horizon 6"):
+            tiny_spec(shock=ShockConfig(strike_schedule={2: 1.5, 7: 2.0}))
+        with pytest.raises(ValueError, match="scenario.shock.strike_schedule: semester 13"):
+            scenario_from_dict({"shock": {"strike_schedule": {"13": 2.0}}})
+        assert tiny_spec(shock=ShockConfig(strike_schedule={6: 2.0})).horizon == 6
 
     def test_horizon_bounds(self):
         with pytest.raises(ValueError):
