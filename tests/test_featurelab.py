@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cohortsim.curriculum import Course, CurriculumGraph, Cycle
 from cohortsim.engine import run_realisation
@@ -202,6 +202,66 @@ class TestBuildFeatureView:
         names = default_feature_catalog().names()
         assert len(names) == 11
         assert len(set(names)) == 11
+
+
+def recomputed_row(student, t, s, graph):
+    """One student's full catalog row at time t, straight from the scalar functions."""
+    entry_m, entry_s = student.entry_month, student.entry_semester
+    at_entry = annualised_inflation(s, entry_m)
+    now = annualised_inflation(s, entry_m + 6 * t)
+    exposure = sum(s.strike_at(k) for k in range(entry_s, entry_s + t))
+    basic = [s.strike_at(k) for k in range(entry_s, entry_s + min(t, 4))]
+    advanced = [s.strike_at(k) for k in range(entry_s + 4, entry_s + t)]
+    row = {
+        "MACRO_inflacion_entrada": at_entry,
+        "MACRO_inflacion_volatilidad_24m": inflation_volatility_24m(s, entry_m),
+        "MACRO_inflacion_acum_entrada": cumulative_inflation(s, entry_m, 6 * t),
+        "MACRO_inflacion_pct_cambio": (now - at_entry) / at_entry if at_entry != 0.0 else 0.0,
+        "MACRO_paros_acum_ciclo": exposure,
+        "MACRO_paros_basico_vs_superior":
+            (sum(basic) / len(basic) if basic else 0.0)
+            - (sum(advanced) / len(advanced) if advanced else 0.0),
+        "MACRO_IFC_pond_paros_basico": ifc_weighted_strike_index(
+            [(c, k) for c, k in student.takings if k < entry_s + t], graph, s),
+        "MACRO_inflacion_x_paros": inflation_volatility_24m(s, entry_m) * exposure,
+    }
+    for lag in (1, 2, 3):
+        if lag <= t:
+            row[f"MACRO_paros_lag_sem_{lag}"] = strike_lag(s, entry_s + t - 1, lag)
+    return row
+
+
+@st.composite
+def feature_inputs(draw):
+    """Series, students and a time; entry months and semesters are drawn apart,
+    so students share both, one or neither."""
+    rate = st.one_of(st.just(0.0), st.floats(-1.0, 6.0, allow_nan=False))
+    inflation = draw(st.lists(rate, min_size=96, max_size=96))
+    strikes = draw(st.lists(st.floats(0.0, 1.0), min_size=13, max_size=13))
+    people = draw(st.lists(st.tuples(
+        st.sampled_from([24, 25, 30, 54]), st.sampled_from([1, 2, 6]),
+        st.lists(st.tuples(st.sampled_from(["b1", "b2", "adv"]), st.integers(0, 7)),
+                 max_size=6)), min_size=1, max_size=10))
+    students = [StudentRecord(student_id=f"s{i}", entry_month=month, entry_semester=semester,
+                              takings=tuple((c, semester + k) for c, k in takings))
+                for i, (month, semester, takings) in enumerate(people)]
+    return (series(inflation=inflation, strikes=strikes, first_semester=1), students,
+            draw(st.integers(0, 7)))
+
+
+class TestViewMatchesScalarRecomputation:
+    @settings(max_examples=60, deadline=None)
+    @given(feature_inputs())
+    def test_every_cell_bit_for_bit(self, inputs):
+        s, students, t = inputs
+        catalog = default_feature_catalog()
+        graph = mini_graph()
+        matrix = build_feature_view(catalog, students, t, s, graph)
+        assert matrix.columns == tuple(f.name for f in catalog.available_at(t))
+        assert matrix.student_ids == tuple(r.student_id for r in students)
+        for record, row in zip(students, matrix.rows, strict=True):
+            expected = recomputed_row(record, t, s, graph)
+            assert [v.hex() for v in row] == [expected[c].hex() for c in matrix.columns]
 
 
 class TestCohortFolds:
