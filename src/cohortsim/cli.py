@@ -69,8 +69,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
+        writer.writerows(rows)  # None is written as an empty field
 
 
 def _write_json(path: Path, doc) -> None:
@@ -325,6 +324,11 @@ def _cmd_features(args) -> int:
         raise CliInputError(f"{exc.filename}: file not found") from None
     except (FeatureError, CurriculumError) as exc:
         raise CliInputError(str(exc)) from None
+    for student in students:
+        for course_id, _ in student.takings:
+            if course_id not in graph:
+                raise CliInputError(f"{args.takings_csv}: unknown course {course_id!r} "
+                                    f"(student {student.student_id!r})")
     try:
         times = [int(t) for t in args.times.split(",") if t.strip() != ""]
     except ValueError:

@@ -32,7 +32,7 @@ bit-reproducible and gives common random numbers across scenario variants."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -92,6 +92,11 @@ class ShockConfig:
             if any(v < 1.0 for v in sched.values()):
                 raise ValueError("strike_schedule multipliers must be >= 1")
             object.__setattr__(self, "strike_schedule", sched)
+
+    def __hash__(self) -> int:
+        # the schedule is kept as a dict for lookups; it hashes as its sorted items
+        return hash(tuple(tuple(sorted(v.items())) if isinstance(v, dict) else v
+                          for v in (getattr(self, f.name) for f in fields(self))))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,14 @@ features remain usable at every later prediction time.
 Time axes: monthly inflation uses an absolute month index; strike intensity
 uses an absolute semester index; one semester spans six months.  Prediction
 time ``t`` counts completed semesters since entry (0 = at entry).
+
+Cost: every feature but the strike-weighted IFC index is a function of the
+entry month, the entry semester and ``t`` alone, so ``build_feature_view``
+evaluates those once per distinct entry date and only the IFC index per
+student.  A view costs O(entry dates x features + takings), not
+O(students x features).  Each feature still has one definition
+(``_feature_value`` over the scalar helpers), so the values are the same bits
+a per-student evaluation gives.
 """
 
 from __future__ import annotations
@@ -27,6 +35,9 @@ from .population import agent_id
 
 MONTHS_PER_SEMESTER = 6
 BASIC_CYCLE_SEMESTERS = 4
+#: The one catalog feature that reads a student's takings; the others depend
+#: only on the entry date and the prediction time.
+IFC_FEATURE = "MACRO_IFC_pond_paros_basico"
 
 
 class FeatureError(ValueError):
@@ -229,7 +240,7 @@ def _feature_value(name: str, student: StudentRecord, t: int, series: MacroSerie
         basic_mean = sum(basic) / len(basic) if basic else 0.0
         advanced_mean = sum(advanced) / len(advanced) if advanced else 0.0
         return basic_mean - advanced_mean
-    if name == "MACRO_IFC_pond_paros_basico":
+    if name == IFC_FEATURE:
         horizon = entry_s + t
         observed = [(c, s) for c, s in student.takings if s < horizon]
         return ifc_weighted_strike_index(observed, graph, series)
@@ -252,10 +263,24 @@ def build_feature_view(catalog: FeatureCatalog, students: Sequence[StudentRecord
         raise FeatureError("prediction_time must be >= 0")
     available = catalog.available_at(prediction_time)
     columns = tuple(f.name for f in available)
+    # Every column but the IFC index depends only on the entry date, so that
+    # part of the row is computed once per (entry month, entry semester).
+    entry_columns = tuple(name for name in columns if name != IFC_FEATURE)
+    ifc_at = columns.index(IFC_FEATURE) if IFC_FEATURE in columns else None
+    by_entry: dict[tuple[int, int], tuple[float, ...]] = {}
     rows = []
     for student in students:
-        rows.append(tuple(_feature_value(f.name, student, prediction_time, series, graph)
-                          for f in available))
+        key = (student.entry_month, student.entry_semester)
+        shared = by_entry.get(key)
+        if shared is None:
+            shared = by_entry[key] = tuple(
+                _feature_value(name, student, prediction_time, series, graph)
+                for name in entry_columns)
+        if ifc_at is None:
+            rows.append(shared)
+        else:
+            ifc = _feature_value(IFC_FEATURE, student, prediction_time, series, graph)
+            rows.append(shared[:ifc_at] + (ifc,) + shared[ifc_at:])
     return FeatureMatrix(
         prediction_time=prediction_time,
         student_ids=tuple(s.student_id for s in students),
@@ -361,44 +386,65 @@ def load_macro_series(inflation_csv: str | Path, strikes_csv: str | Path) -> Mac
                        strike_intensity=tuple(strikes), first_semester=first_semester)
 
 
+def _column_indices(path: str | Path, reader, required: Sequence[str]) -> dict[str, int]:
+    """Column name -> index from a CSV header that must hold ``required``."""
+    header = next(reader, None)
+    if header is None or not set(required) <= set(header):
+        raise FeatureError(f"{path}: expected columns {sorted(required)}")
+    return {name: i for i, name in enumerate(header)}
+
+
 def load_student_records(students_csv: str | Path,
                          takings_csv: str | Path | None = None) -> list[StudentRecord]:
     """Read student records, optionally joined with per-taking rows.
 
     ``students_csv`` columns: student_id, entry_month, entry_semester
     [, cohort_year]; ``takings_csv`` columns: student_id, course_id, semester.
+    Student ids must be unique, and every taking must name a listed student.
     """
-    takings: dict[str, list[tuple[str, int]]] = {}
+    entries: dict[str, tuple[int, int, int | None]] = {}
+    with open(students_csv, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        col = _column_indices(students_csv, reader,
+                              ("student_id", "entry_month", "entry_semester"))
+        id_at, month_at, semester_at = col["student_id"], col["entry_month"], col["entry_semester"]
+        year_at = col.get("cohort_year")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                student_id = row[id_at]
+                year = row[year_at] if year_at is not None and year_at < len(row) else ""
+                entry = (int(row[month_at]), int(row[semester_at]), int(year) if year else None)
+            except (IndexError, ValueError):
+                raise FeatureError(f"{students_csv}:{reader.line_num}: malformed row") from None
+            if student_id in entries:
+                raise FeatureError(f"{students_csv}:{reader.line_num}: "
+                                   f"duplicate student_id {student_id!r}")
+            entries[student_id] = entry
+    takings: dict[str, list[tuple[str, int]]] = {student_id: [] for student_id in entries}
     if takings_csv is not None:
         with open(takings_csv, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            required = {"student_id", "course_id", "semester"}
-            if reader.fieldnames is None or not required <= set(reader.fieldnames):
-                raise FeatureError(f"{takings_csv}: expected columns {sorted(required)}")
-            for line, row in enumerate(reader, start=2):
+            reader = csv.reader(fh)
+            col = _column_indices(takings_csv, reader, ("student_id", "course_id", "semester"))
+            id_at, course_at, semester_at = col["student_id"], col["course_id"], col["semester"]
+            for row in reader:
+                if not row:
+                    continue
                 try:
-                    takings.setdefault(row["student_id"], []).append(
-                        (row["course_id"], int(row["semester"])))
-                except (TypeError, ValueError):
-                    raise FeatureError(f"{takings_csv}:{line}: malformed row") from None
-    records = []
-    with open(students_csv, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"student_id", "entry_month", "entry_semester"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise FeatureError(f"{students_csv}: expected columns {sorted(required)}")
-        for line, row in enumerate(reader, start=2):
-            try:
-                records.append(StudentRecord(
-                    student_id=row["student_id"],
-                    entry_month=int(row["entry_month"]),
-                    entry_semester=int(row["entry_semester"]),
-                    cohort_year=int(row["cohort_year"]) if row.get("cohort_year") else None,
-                    takings=tuple(takings.get(row["student_id"], ())),
-                ))
-            except (TypeError, ValueError):
-                raise FeatureError(f"{students_csv}:{line}: malformed row") from None
-    return records
+                    student_id, taking = row[id_at], (row[course_at], int(row[semester_at]))
+                except (IndexError, ValueError):
+                    raise FeatureError(f"{takings_csv}:{reader.line_num}: malformed row") from None
+                try:
+                    takings[student_id].append(taking)
+                except KeyError:
+                    raise FeatureError(f"{takings_csv}:{reader.line_num}: student_id "
+                                       f"{student_id!r} is not in {students_csv}") from None
+    return [
+        StudentRecord(student_id=student_id, entry_month=month, entry_semester=semester,
+                      cohort_year=year, takings=tuple(takings[student_id]))
+        for student_id, (month, semester, year) in entries.items()
+    ]
 
 
 def feature_matrix_csv_rows(matrix: FeatureMatrix) -> tuple[tuple[str, ...], list[tuple]]:

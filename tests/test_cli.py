@@ -187,6 +187,18 @@ class TestFeaturesCommand:
         assert "MACRO_paros_lag_sem_2" in t2_header
         assert "MACRO_paros_lag_sem_3" not in t2_header
 
+    @pytest.mark.parametrize("times", ["0", "0,2"])
+    def test_unknown_course_exits_one_before_any_artifact(self, tmp_path, capsys, times):
+        inflation, strikes, students, takings = self.write_inputs(tmp_path)
+        takings.write_text(takings.read_text() + "s2,NOPE,1\n")
+        out = tmp_path / "features"
+        assert run_cli("features", "--inflation-csv", inflation, "--strikes-csv", strikes,
+                       "--students-csv", students, "--takings-csv", takings,
+                       "--times", times, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert str(takings) in err and "'NOPE'" in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_insufficient_history_is_input_error(self, tmp_path, capsys):
         inflation = tmp_path / "inflation.csv"
         inflation.write_text("month,inflation\n" + "\n".join(

@@ -320,6 +320,47 @@ class TestAdaptersAndIo:
         assert series.strike_at(2) == 0.15
         assert records[0].takings == (("b1", 1), ("b1", 2))
 
+    def test_duplicate_student_id_rejected(self, tmp_path):
+        students = tmp_path / "students.csv"
+        students.write_text("student_id,entry_month,entry_semester\n"
+                            "st1,24,1\nst2,24,1\nst1,30,2\n")
+        with pytest.raises(FeatureError, match=r"students.csv:4: duplicate student_id 'st1'"):
+            load_student_records(students)
+
+    def test_taking_of_unlisted_student_rejected(self, tmp_path):
+        students = tmp_path / "students.csv"
+        students.write_text("student_id,entry_month,entry_semester\nst1,24,1\n")
+        takings = tmp_path / "takings.csv"
+        takings.write_text("student_id,course_id,semester\nst1,b1,1\nst9,b1,2\n")
+        with pytest.raises(FeatureError, match=r"takings.csv:3: student_id 'st9' is not in"):
+            load_student_records(students, takings)
+
+    @pytest.mark.parametrize("name, text, line", [
+        ("students.csv", "student_id,entry_month,entry_semester\nst1,24,1\nst2,24\n", 3),
+        ("students.csv", "student_id,entry_month,entry_semester\nst1,x,1\n", 2),
+        ("students.csv", "student_id,entry_month,entry_semester,cohort_year\nst1,24,1,y\n", 2),
+        ("takings.csv", "student_id,course_id,semester\nst1,b1\n", 2),
+        ("takings.csv", "student_id,course_id,semester\nst1,b1,1\nst1,b1,z\n", 3),
+    ])
+    def test_malformed_rows_name_file_and_line(self, tmp_path, name, text, line):
+        (tmp_path / "students.csv").write_text("student_id,entry_month,entry_semester\nst1,24,1\n")
+        (tmp_path / "takings.csv").write_text("student_id,course_id,semester\n")
+        (tmp_path / name).write_text(text)
+        with pytest.raises(FeatureError, match=rf"{name}:{line}: malformed row"):
+            load_student_records(tmp_path / "students.csv", tmp_path / "takings.csv")
+
+    def test_optional_cohort_year_and_column_order(self, tmp_path):
+        students = tmp_path / "students.csv"
+        students.write_text("entry_semester,cohort_year,student_id,entry_month\n"
+                            "1,2004,st1,24\n2,,st2,30\n")
+        takings = tmp_path / "takings.csv"
+        takings.write_text("semester,course_id,student_id\n2,b1,st2\n\n1,b2,st2\n")
+        records = load_student_records(students, takings)
+        assert records == [
+            StudentRecord("st1", 24, 1, 2004, ()),
+            StudentRecord("st2", 30, 2, None, (("b1", 2), ("b2", 1))),
+        ]
+
     def test_gappy_series_rejected(self, tmp_path):
         inflation = tmp_path / "inflation.csv"
         inflation.write_text("month,inflation\n0,1.0\n2,1.0\n")

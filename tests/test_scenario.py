@@ -294,6 +294,19 @@ class TestSerialisation:
         reweighted = CurriculumGraph(a.curriculum.courses, IFCWeights(0.6, 0.2, 0.2))
         assert reweighted != a.curriculum
 
+    def test_strike_schedule_is_hashable(self):
+        shock = ShockConfig(strike_schedule={1: 2.5, 10: 1.5})
+        same = ShockConfig(strike_schedule={10: 1.5, 1: 2.5})
+        assert shock == same and hash(shock) == hash(same)
+        assert shock != ShockConfig(strike_schedule={1: 2.5})
+        assert isinstance(shock.strike_schedule, dict) and shock.strike_schedule[10] == 1.5
+        a, b = ScenarioSpec(shock=shock), ScenarioSpec(shock=same)
+        assert hash(a) == hash(b) and len({a, b, ScenarioSpec()}) == 2
+        assert hash(explicit_spec()) == hash(explicit_spec())
+        doc = scenario_to_dict(a)
+        assert doc["shock"]["strike_schedule"] == {"1": 2.5, "10": 1.5}
+        assert scenario_from_dict(doc) == a
+
     def test_inline_ifc_weights_survive_the_snapshot(self):
         doc = scenario_to_dict(explicit_spec())
         doc["curriculum"]["ifc_weights"] = {"w1": 0.6, "w2": 0.2, "w3": 0.2}
