@@ -23,7 +23,6 @@ from dataclasses import dataclass, fields as dc_fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .engine import DecisionCoefficients, ResilienceDynamics
 from .population import PopulationParams
@@ -272,6 +271,22 @@ class _Budget:
         return True
 
 
+def latin_hypercube(d: int, n: int, rng_seed: int) -> np.ndarray:
+    """``n`` points of a scrambled Latin hypercube in [0, 1)^d, one per row.
+
+    Each dimension splits [0, 1) into ``n`` equal cells and puts one point in
+    each cell, at a uniform offset, in a random order.  The draws and their
+    order are those of scipy's ``qmc.LatinHypercube(d, seed=rng_seed).random(n)``,
+    so a seed gives the points it gave there.
+    """
+    rng = np.random.default_rng(rng_seed)
+    offsets = rng.uniform(size=(n, d))
+    perms = np.tile(np.arange(1, n + 1), (d, 1))
+    for row in perms:
+        rng.shuffle(row)
+    return (perms.T - offsets) / n
+
+
 def _search_block(initial: FreeParameters, names: Sequence[str],
                   bounds: Mapping[str, tuple[float, float]], targets: CalibrationTargets,
                   target_names: Sequence[str], weights: Mapping[str, float],
@@ -301,10 +316,9 @@ def _search_block(initial: FreeParameters, names: Sequence[str],
     if names and budget.left > 0:
         n_points = budget.left - (1 + 2 * len(names))
         if n_points > 0:
-            sampler = qmc.LatinHypercube(d=len(names), seed=rng_seed)
             lo = np.array([bounds[n][0] for n in names])
             hi = np.array([bounds[n][1] for n in names])
-            for row in qmc.scale(sampler.random(n_points), lo, hi):
+            for row in latin_hypercube(len(names), n_points, rng_seed) * (hi - lo) + lo:
                 if not budget.take():
                     break
                 candidate = replace(initial, **{n: float(v) for n, v in zip(names, row)})

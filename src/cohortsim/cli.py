@@ -32,7 +32,7 @@ from .curriculum import (
 )
 from .engine import TRAJECTORY_HEADER, effective_graph, run_realisations, trajectory_csv_rows
 from .featurelab import (
-    FeatureError, MASK_CSV_HEADER, availability_mask_rows, build_feature_view,
+    FeatureError, MASK_CSV_HEADER, availability_mask_rows, build_feature_view, check_history,
     default_feature_catalog, feature_matrix_csv_rows, load_macro_series,
     load_student_records,
 )
@@ -336,6 +336,12 @@ def _cmd_features(args) -> int:
     if not times:
         raise CliInputError("--times must list at least one prediction time")
     catalog = default_feature_catalog()
+    # Views are written one at a time, so a history gap at a later time must
+    # fail before the first write.
+    try:
+        check_history(catalog, students, times, series, graph)
+    except FeatureError as exc:
+        raise CliInputError(str(exc)) from None
     out = _out_dir(args)
     artifacts: dict[str, Path] = {}
     inputs = {"inflation": Path(args.inflation_csv), "strikes": Path(args.strikes_csv),

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -269,18 +269,22 @@ def build_feature_view(catalog: FeatureCatalog, students: Sequence[StudentRecord
     ifc_at = columns.index(IFC_FEATURE) if IFC_FEATURE in columns else None
     by_entry: dict[tuple[int, int], tuple[float, ...]] = {}
     rows = []
-    for student in students:
-        key = (student.entry_month, student.entry_semester)
-        shared = by_entry.get(key)
-        if shared is None:
-            shared = by_entry[key] = tuple(
-                _feature_value(name, student, prediction_time, series, graph)
-                for name in entry_columns)
-        if ifc_at is None:
-            rows.append(shared)
-        else:
-            ifc = _feature_value(IFC_FEATURE, student, prediction_time, series, graph)
-            rows.append(shared[:ifc_at] + (ifc,) + shared[ifc_at:])
+    try:
+        for student in students:
+            key = (student.entry_month, student.entry_semester)
+            shared = by_entry.get(key)
+            if shared is None:
+                shared = by_entry[key] = tuple(
+                    _feature_value(name, student, prediction_time, series, graph)
+                    for name in entry_columns)
+            if ifc_at is None:
+                rows.append(shared)
+            else:
+                ifc = _feature_value(IFC_FEATURE, student, prediction_time, series, graph)
+                rows.append(shared[:ifc_at] + (ifc,) + shared[ifc_at:])
+    except FeatureError as exc:
+        raise FeatureError(f"prediction time {prediction_time}, "
+                           f"student {student.student_id!r}: {exc}") from None
     return FeatureMatrix(
         prediction_time=prediction_time,
         student_ids=tuple(s.student_id for s in students),
@@ -288,6 +292,38 @@ def build_feature_view(catalog: FeatureCatalog, students: Sequence[StudentRecord
         rows=tuple(rows),
         availability={f.name: f.available_from <= prediction_time for f in catalog.features},
     )
+
+
+def check_history(catalog: FeatureCatalog, students: Sequence[StudentRecord],
+                  times: Iterable[int], series: MacroSeries, graph: CurriculumGraph) -> None:
+    """Raise the ``FeatureError`` that ``build_feature_view`` would raise at
+    any of ``times``, without building the views.
+
+    A caller that writes one view at a time checks first, so that missing
+    history fails before anything is written.  The entry-date features are
+    evaluated once per distinct entry date and time.  The IFC index reads
+    strike data only for observed takings, so it is evaluated only for
+    students with a taking in a semester the strike series lacks.
+    """
+    times = sorted(times)
+    firsts: dict[tuple[int, int], StudentRecord] = {}
+    for student in students:
+        firsts.setdefault((student.entry_month, student.entry_semester), student)
+    entry_dates = [replace(student, takings=()) for student in firsts.values()]
+    for t in times:
+        build_feature_view(catalog, entry_dates, t, series, graph)
+    ifc_times = [t for t in times
+                 if any(f.name == IFC_FEATURE for f in catalog.available_at(t))]
+    known = range(series.first_semester, series.first_semester + len(series.strike_intensity))
+    gaps = {semester for student in students for _, semester in student.takings}.difference(known)
+    if not ifc_times or not gaps:
+        return
+    for student in students:
+        horizon = student.entry_semester + ifc_times[-1]
+        for _, semester in student.takings:
+            if semester in gaps and semester < horizon:
+                first = next(t for t in ifc_times if semester < student.entry_semester + t)
+                build_feature_view(catalog, (student,), first, series, graph)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ distinct seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr
 
 
 class Status(str, Enum):
@@ -137,6 +138,17 @@ class PopulationParams:
             object.__setattr__(self, "rank_correlation", tuple(map(tuple, m.tolist())))
 
 
+def share_threshold(share: float) -> float:
+    """Standard-normal quantile of ``share``: a standard-normal draw falls
+    below it with probability ``share``.  Share 0 maps to -inf (nobody) and
+    share 1 to +inf (everybody)."""
+    if share <= 0.0:
+        return -math.inf
+    if share >= 1.0:
+        return math.inf
+    return NormalDist().inv_cdf(share)
+
+
 def generate_cohort(params: PopulationParams, rng_seed: int) -> Cohort:
     """Draw a cohort of ``params.n_agents`` agents, deterministic in the seed."""
     rng = np.random.default_rng(rng_seed)
@@ -148,10 +160,10 @@ def generate_cohort(params: PopulationParams, rng_seed: int) -> Cohort:
     return Cohort(
         age_at_entry=np.clip(params.age_mean + params.age_sd * z[:, 0],
                              params.age_min, params.age_max),
-        gender=(ndtr(z[:, 1]) < params.male_share).astype(int),
+        gender=(z[:, 1] < share_threshold(params.male_share)).astype(int),
         secondary_gpa=np.clip(params.gpa_mean + params.gpa_sd * z[:, 2],
                               params.gpa_min, params.gpa_max),
-        displaced=(ndtr(z[:, 3]) < params.displaced_share).astype(int),
+        displaced=(z[:, 3] < share_threshold(params.displaced_share)).astype(int),
         parental_education=np.clip(
             np.rint(params.parental_mean + params.parental_sd * z[:, 4]), 1, 5).astype(int),
         resilience=np.clip(params.rho_mean + params.rho_sd * z[:, 5], 0.0, 1.0),

@@ -1,10 +1,12 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cohortsim.calibration import (
     CalibrationTargets, FreeParameters, TTD_SCALE, calibrate, default_weights,
-    evaluate_targets, params_from_dict, residual_csv_rows, score, weighted_error,
+    evaluate_targets, latin_hypercube, params_from_dict, residual_csv_rows, score,
+    weighted_error,
 )
 from cohortsim.engine import InterventionModifiers
 from cohortsim.scenario import ScenarioSpec, builtin_scenario
@@ -208,3 +210,24 @@ class TestEvaluateTargets:
         sim = measured(FreeParameters(), ("s0_total", "s0_early", "s0_median_ttd"))
         assert set(sim) == {"s0_total", "s0_early", "s0_median_ttd"}
         assert 0.0 <= sim["s0_total"] <= 1.0
+
+
+class TestLatinHypercube:
+    CASES = [(3, 0, 10), (12, 42, 37), (5, 7, 1), (1, 1066, 200), (20, 2**40, 64)]
+
+    @pytest.mark.parametrize("d, seed, n", CASES)
+    def test_one_point_per_cell_in_every_dimension(self, d, seed, n):
+        points = latin_hypercube(d, n, seed)
+        assert points.shape == (n, d)
+        assert ((points >= 0.0) & (points < 1.0)).all()
+        for column in points.T:
+            assert sorted(np.floor(column * n).astype(int)) == list(range(n))
+
+    @pytest.mark.parametrize("d, seed, n", CASES)
+    def test_matches_scipy(self, d, seed, n):
+        qmc = pytest.importorskip("scipy.stats.qmc")
+        expected = qmc.LatinHypercube(d=d, seed=seed).random(n)
+        assert np.array_equal(latin_hypercube(d, n, seed), expected)
+        lo, hi = np.linspace(-1.0, 0.0, d), np.linspace(0.5, 3.0, d)
+        assert np.array_equal(latin_hypercube(d, n, seed) * (hi - lo) + lo,
+                              qmc.scale(expected, lo, hi))

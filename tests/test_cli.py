@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cohortsim
 from cohortsim.cli import main
 from cohortsim.curriculum import curriculum_to_dict, default_curriculum
 from cohortsim.scenario import ScenarioSpec, SweepSpec, scenario_to_dict, sweep_to_dict
@@ -17,6 +21,15 @@ def read(path: Path) -> bytes:
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, cohortsim.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cohortsim.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestRunCommand:
@@ -198,6 +211,32 @@ class TestFeaturesCommand:
         err = capsys.readouterr().err
         assert str(takings) in err and "'NOPE'" in err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("months, extra_taking, expected", [
+        (41, "", "prediction time 3, student 's1': no inflation data for month 41"),
+        (50, "s1,am1,0\n", "prediction time 1, student 's1': no strike data for semester 0"),
+    ])
+    def test_missing_history_exits_one_before_any_artifact(self, tmp_path, capsys, months,
+                                                          extra_taking, expected):
+        inflation, strikes, students, takings = self.write_inputs(tmp_path)
+        inflation.write_text("month,inflation\n" + "\n".join(
+            f"{m},2.0" for m in range(months)) + "\n")
+        takings.write_text(takings.read_text() + extra_taking)
+        out = tmp_path / "features"
+        assert run_cli("features", "--inflation-csv", inflation, "--strikes-csv", strikes,
+                       "--students-csv", students, "--takings-csv", takings,
+                       "--times", "0,1,3", "--out", out) == 1
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_advanced_taking_outside_strike_data_is_accepted(self, tmp_path):
+        # The IFC index skips advanced-cycle courses, so their semesters need
+        # no strike data.
+        inflation, strikes, students, takings = self.write_inputs(tmp_path)
+        takings.write_text(takings.read_text() + "s1,ele1,0\n")
+        assert run_cli("features", "--inflation-csv", inflation, "--strikes-csv", strikes,
+                       "--students-csv", students, "--takings-csv", takings,
+                       "--times", "0,1,3", "--out", tmp_path / "features") == 0
 
     def test_insufficient_history_is_input_error(self, tmp_path, capsys):
         inflation = tmp_path / "inflation.csv"

@@ -1,22 +1,25 @@
+import math
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import norm
 
 from cohortsim.engine import AgentBatch, advance_semester
 from cohortsim.curriculum import default_curriculum
 from cohortsim.population import (
     ACADEMIC, DROPOUT, GRADUATED, NO_CAUSE, PopulationParams, Tercile,
-    cohort_csv_rows, generate_cohort, tercile_index, tercile_of,
+    cohort_csv_rows, generate_cohort, share_threshold, tercile_index, tercile_of,
 )
 from cohortsim.scenario import ScenarioSpec
 
 
 def clipped_normal_mean(mu, sd, lo, hi):
     """Independent oracle: E[clip(X, lo, hi)] for X ~ N(mu, sd)."""
+    norm = NormalDist()
     a, b = (lo - mu) / sd, (hi - mu) / sd
     middle = mu * (norm.cdf(b) - norm.cdf(a)) - sd * (norm.pdf(b) - norm.pdf(a))
-    return lo * norm.cdf(a) + hi * norm.sf(b) + middle
+    return lo * norm.cdf(a) + hi * (1 - norm.cdf(b)) + middle
 
 
 class TestGenerateCohort:
@@ -71,6 +74,39 @@ class TestGenerateCohort:
     def test_agent_ids_stable(self):
         cohort = generate_cohort(PopulationParams(n_agents=3), 0)
         assert [row[0] for row in cohort_csv_rows(cohort)] == ["a0000", "a0001", "a0002"]
+
+
+class TestShareThresholds:
+    @pytest.mark.parametrize("male, displaced", [(0.0, 1.0), (1.0, 0.0)])
+    def test_edge_shares_flag_nobody_or_everybody(self, male, displaced):
+        cohort = generate_cohort(PopulationParams(n_agents=5_000, male_share=male,
+                                                  displaced_share=displaced), 3)
+        assert (cohort.gender == int(male)).all()
+        assert (cohort.displaced == int(displaced)).all()
+
+    def test_edge_thresholds_are_infinite(self):
+        assert share_threshold(0.0) == -math.inf
+        assert share_threshold(1.0) == math.inf
+
+    def test_matches_the_ndtr_rule_on_ten_million_draws(self):
+        ndtr = pytest.importorskip("scipy.special").ndtr
+        shares = (0.0, 0.01, 0.1, 0.42, 0.5, 0.73, 0.99, 1.0)
+        rng = np.random.default_rng(20240601)
+        for _ in range(10):
+            z = rng.standard_normal(1_000_000)
+            p = ndtr(z)
+            for share in shares:
+                assert np.array_equal(p < share, z < share_threshold(share)), share
+
+    @pytest.mark.parametrize("share", [PopulationParams().male_share,
+                                       PopulationParams().displaced_share])
+    def test_default_shares_match_ndtr_next_to_the_threshold(self, share):
+        # The 4001 doubles nearest the threshold, where a rounding difference
+        # between the two rules would show first.
+        ndtr = pytest.importorskip("scipy.special").ndtr
+        bits = np.array([share_threshold(share)]).view(np.int64) + np.arange(-2000, 2001)
+        z = bits.view(np.float64)
+        assert np.array_equal(ndtr(z) < share, z < share_threshold(share))
 
 
 class TestCorrelationHook:
