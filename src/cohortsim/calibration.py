@@ -25,10 +25,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .engine import DecisionCoefficients, ResilienceDynamics
+from .metrics import aggregate_stats
 from .population import PopulationParams
 from .scenario import (
     CALIBRATED_INTERVENTIONS, DEFAULT_BASE_SEED, INTERVENTION_LEVERS, ScenarioSpec,
-    builtin_scenario, lever_interventions, run_ensemble,
+    builtin_scenario, ensemble_stats, lever_interventions,
 )
 
 #: One semester of median time-to-dropout error counts like 6 percentage
@@ -202,17 +203,21 @@ def evaluate_targets(params: FreeParameters, target_names: Sequence[str],
                      n_realisations: int, n_agents: int = 300, horizon: int = 12,
                      base_seed: int = DEFAULT_BASE_SEED, workers: int = 1,
                      ) -> dict[str, float]:
-    """Simulate every scenario the named targets require and read them off."""
+    """Simulate every scenario the named targets require, in one ensemble call, and read them off.
+
+    The scenarios share every batch, so their targets are read on common random numbers.
+    """
     needed = {}
     for name in target_names:
         if name not in TARGET_SPECS:
             raise ValueError(f"unknown target {name!r}")
         needed.setdefault(TARGET_SPECS[name][0], []).append(name)
+    keys = sorted(needed)
+    specs = [replace(params.apply(builtin_scenario(key, base_seed)), n_agents=n_agents,
+                     n_realisations=n_realisations, horizon=horizon) for key in keys]
     simulated: dict[str, float] = {}
-    for key in sorted(needed):
-        spec = replace(params.apply(builtin_scenario(key, base_seed)), n_agents=n_agents,
-                       n_realisations=n_realisations, horizon=horizon)
-        metrics = run_ensemble(spec, workers, bootstrap_resamples=50)
+    for key, stats in zip(keys, ensemble_stats(specs, workers)):
+        metrics = aggregate_stats(stats, horizon, bootstrap_resamples=50)
         for name in needed[key]:
             value = getattr(metrics, TARGET_SPECS[name][1])
             simulated[name] = float(value) if value is not None else 0.0

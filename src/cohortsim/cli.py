@@ -30,7 +30,7 @@ from .curriculum import (
     CurriculumError, curriculum_from_dict, default_curriculum, ifc_table_rows,
     load_curriculum, standardised_ifc, validate_graph,
 )
-from .engine import TRAJECTORY_HEADER, effective_graph, run_realisations, trajectory_csv_rows
+from .engine import TRAJECTORY_HEADER, run_realisations, trajectory_csv_rows
 from .featurelab import (
     FeatureError, MASK_CSV_HEADER, availability_mask_rows, build_feature_view, check_history,
     default_feature_catalog, feature_matrix_csv_rows, load_macro_series,
@@ -41,8 +41,8 @@ from .metrics import (
     curve_csv_rows, metrics_summary_rows, realisation_stats, sweep_csv_rows,
 )
 from .scenario import (
-    DEFAULT_BASE_SEED, ScenarioSpec, SweepSpec, builtin_scenario, ensemble_stats,
-    realisation_batches, run_sweep,
+    DEFAULT_BASE_SEED, ScenarioSpec, SweepSpec, block_batches, builtin_scenario,
+    ensemble_stats, run_sweep,
     scenario_from_dict, scenario_to_dict, sensitivity_run, spec_hash,
     sweep_from_dict, sweep_to_dict, BUILTIN_SCENARIO_IDS,
 )
@@ -211,19 +211,18 @@ def _cmd_run(args) -> int:
     out = _out_dir(args)
     artifacts: dict[str, Path] = {}
     if args.trajectories:
-        graph = effective_graph(spec)
         stats = []
         traj_path = out / "trajectories.csv"
         with open(traj_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(TRAJECTORY_HEADER)
-            for batch in realisation_batches(spec.n_realisations):
-                for log in run_realisations(spec, batch, graph, record_rows=True):
+            for batch in block_batches([spec]):
+                for log in run_realisations(spec, [i for _, i in batch], record_rows=True):
                     writer.writerows(trajectory_csv_rows(log))
                     stats.append(realisation_stats(log))
         artifacts["trajectories"] = traj_path
     else:
-        stats = ensemble_stats(spec, args.workers)
+        stats = ensemble_stats([spec], args.workers)[0]
     metrics = aggregate_stats(stats, spec.horizon)
 
     if args.cohort:
@@ -335,6 +334,9 @@ def _cmd_features(args) -> int:
         raise CliInputError(f"--times {args.times!r}: expected comma-separated integers") from None
     if not times:
         raise CliInputError("--times must list at least one prediction time")
+    repeated = [t for k, t in enumerate(times) if t in times[:k]]
+    if repeated:
+        raise CliInputError(f"--times {args.times!r}: prediction time {repeated[0]} is listed twice")
     catalog = default_feature_catalog()
     # Views are written one at a time, so a history gap at a later time must
     # fail before the first write.

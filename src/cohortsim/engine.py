@@ -21,13 +21,20 @@ semester, lambda_str = 2 gives +50% basic-cycle friction).  The alternative
 ``paper-literal`` form (1 + 0.25 * lambda_str and 1 - 0.03 * lambda_inf,
 which is not neutral at lambda = 1) is kept for sensitivity analysis.
 
-Several realisations advance together as one struct of arrays
-(:class:`AgentBatch`: one entry per agent, courses as bitmasks).  Each keeps
-its own stream, drawn in fixed-size batches per semester -- ``course_load``
-uniforms, ``course_load`` grade deviates and one hazard uniform per agent,
-used or not -- so its results depend neither on outcomes, shock intensity
-and worker scheduling nor on its batch companions.  That makes runs
-bit-reproducible and gives common random numbers across scenario variants."""
+Many realisations advance together as one struct of arrays
+(:class:`AgentBatch`: one entry per agent, courses as bitmasks).  The unit of
+a batch is a *block*: one realisation index of one scenario.  Blocks of
+different scenarios may share a batch when their specs agree on everything
+but ``shock``, ``interventions`` and ``id`` (see :func:`check_shared`); what
+those two change reaches the engine as per-block data -- a failure-probability
+table per semester, an inflation depletion factor and a financial support
+boost.  Each realisation index draws its cohort once per batch, shared by all
+its blocks, and each block keeps its own stream, drawn in fixed-size batches
+per semester -- ``course_load`` uniforms, ``course_load`` grade deviates and
+one hazard uniform per agent, used or not -- so its results depend neither on
+outcomes, shock intensity and worker scheduling nor on its batch companions.
+That makes runs bit-reproducible and gives common random numbers across the
+scenarios of a contrast."""
 
 from __future__ import annotations
 
@@ -232,16 +239,18 @@ def fail_probability(course: Course, config: ShockConfig, modifiers: Interventio
 
 
 class AgentBatch:
-    """Engine state of a batch of cohorts, one array entry per agent (a row).
+    """Engine state of a batch of blocks, one array entry per agent (a row).
 
-    Rows are cohort-major: cohort ``k``'s agent ``i`` is row ``k * n + i``
-    for cohorts of ``n`` agents.  Passed courses, and courses failed at least
-    once, are bitmasks over ``graph.courses`` (course ``c`` is bit ``c % 64``
-    of word ``c // 64``), stored as ``(words, rows)`` uint64 arrays.
+    Block ``k`` starts from ``cohorts[k]``.  Rows are block-major: block
+    ``k``'s agent ``i`` is row ``k * n + i`` for cohorts of ``n`` agents, and
+    ``block`` holds each row's block.  Passed courses, and courses failed at
+    least once, are bitmasks over ``graph.courses`` (course ``c`` is bit
+    ``c % 64`` of word ``c // 64``), stored as ``(words, rows)`` uint64 arrays.
     """
 
     def __init__(self, cohorts: Sequence[Cohort], graph: CurriculumGraph):
         self.graph = graph
+        self.block = np.repeat(np.arange(len(cohorts)), [len(c) for c in cohorts])
         self.secondary_gpa, self.parental_education, self.threshold, self.initial_resilience = (
             np.concatenate([getattr(c, name) for c in cohorts])
             for name in ("secondary_gpa", "parental_education", "threshold", "resilience"))
@@ -308,13 +317,19 @@ def grade_attempts(state: AgentBatch, rows: np.ndarray, slots: np.ndarray, u: np
                    z: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Attempt the slotted courses of ``rows``, updating their records in place.
 
-    Slot ``j`` fails when ``u[:, j] < p[course]``; a pass is graded
+    ``p`` is a ``(blocks, courses + 1)`` failure-probability table whose last
+    column is the empty slot -1.  Slot ``j`` fails when
+    ``u[:, j] < p[block, course]``; a pass is graded
     N(4 + 0.6 * secondary GPA, 1) clipped to [4, 10] with deviate ``z[:, j]``,
     a failure 2.  Slots are applied column by column, so grade points add up
     in attempt order; GPA is the running mean over all attempts.  Returns the
     ``slots``-shaped failure flags.
     """
     secondary = state.secondary_gpa[rows]
+    # p[block, course] as one lookup in the flat table, several times faster;
+    # slot -1 lands on the previous block's (cyclically) empty slot, also 0
+    at = state.block[rows] * p.shape[1]
+    p = p.ravel()
     points = state.grade_points[rows]
     attempts = state.attempts[rows]
     failed = np.zeros(slots.shape, bool)
@@ -323,7 +338,7 @@ def grade_attempts(state: AgentBatch, rows: np.ndarray, slots: np.ndarray, u: np
         attempted = course >= 0
         if not attempted.any():
             break
-        failed[:, j] = fail = attempted & (u[:, j] < p[course])
+        failed[:, j] = fail = attempted & (u[:, j] < p[at + course])
         passing = attempted & ~fail
         grade = np.clip(4.0 + 0.6 * secondary + z[:, j], 4.0, 10.0)
         points = points + np.where(fail, 2.0, np.where(passing, grade, 0.0))
@@ -353,29 +368,36 @@ def continuation_probabilities(state: AgentBatch, rows: np.ndarray,
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def advance_semester(state: AgentBatch, scenario: "ScenarioSpec", u: np.ndarray, z: np.ndarray,
-                     hazard: np.ndarray, semester: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def advance_semester(state: AgentBatch, scenarios: Sequence["ScenarioSpec"], fail: np.ndarray,
+                     u: np.ndarray, z: np.ndarray, hazard: np.ndarray,
+                     semester: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance every active row through one semester, in place.
 
-    ``u`` and ``z`` are ``(rows, course_load)`` uniforms and grade deviates,
+    ``scenarios[k]`` is block ``k``'s spec; the blocks share everything
+    :func:`check_shared` checks, so the course load, coefficients and dynamics
+    are read from the first.  ``fail`` is the semester's ``(blocks, courses +
+    1)`` failure-probability table (rows of :func:`failure_table`).  ``u``
+    and ``z`` are ``(rows, course_load)`` uniforms and grade deviates,
     ``hazard`` one uniform per row.  End-of-semester evaluation order:
     graduation, then the external-circumstance hazard, then the threshold
     decision on the continuation probability.  Dropout causes follow the
     precedence external > resilience-depletion > academic.  Returns the rows
     that were active, their course slots and their failure flags.
     """
-    config, dynamics = scenario.shock, scenario.dynamics
+    shared = scenarios[0]
+    dynamics = shared.dynamics
     rows = np.flatnonzero(state.status == ACTIVE)
-    slots = select_courses(state, rows, scenario.course_load)
-    p = np.array([fail_probability(c, config, scenario.interventions, semester)
-                  for c in state.graph.courses] + [0.0])
-    failed = grade_attempts(state, rows, slots, u[rows], z[rows], p)
+    block = state.block[rows]
+    slots = select_courses(state, rows, shared.course_load)
+    failed = grade_attempts(state, rows, slots, u[rows], z[rows], fail)
 
+    depletion = np.array([inflation_depletion_factor(s.shock) for s in scenarios])
+    boost = np.array([s.interventions.financial_support_boost for s in scenarios])
     n_failed = failed.sum(axis=1)
-    rho = state.resilience[rows] * inflation_depletion_factor(config) - dynamics.d_fail * n_failed
+    rho = state.resilience[rows] * depletion[block] - dynamics.d_fail * n_failed
     rho = np.where(n_failed == 0, rho + dynamics.r_gain * (1.0 - rho), rho)
     parental = state.parental_education[rows]
-    rho = np.where(parental <= 2, rho + scenario.interventions.financial_support_boost, rho)
+    rho = np.where(parental <= 2, rho + boost[block], rho)
     rho = np.where(rho <= 0.0, 0.0, np.where(rho > 1.0, 1.0, rho))
     state.resilience[rows] = rho
 
@@ -383,7 +405,7 @@ def advance_semester(state: AgentBatch, scenario: "ScenarioSpec", u: np.ndarray,
     eps = dynamics.external_hazard_base * (6 - parental) / 3.0
     external = ~graduated & (hazard[rows] < eps)
     deciding = np.flatnonzero(~graduated & ~external)
-    leaving = deciding[continuation_probabilities(state, rows[deciding], scenario.coefficients)
+    leaving = deciding[continuation_probabilities(state, rows[deciding], shared.coefficients)
                        < state.threshold[rows[deciding]]]
     depleted = rho[leaving] < dynamics.rho_floor
 
@@ -402,13 +424,70 @@ def _cached_default_curriculum() -> CurriculumGraph:
     return default_curriculum()
 
 
+def _base_graph(scenario: "ScenarioSpec") -> CurriculumGraph:
+    """Scenario curriculum (default when unset), before any redesign."""
+    return scenario.curriculum if scenario.curriculum is not None else _cached_default_curriculum()
+
+
 def effective_graph(scenario: "ScenarioSpec") -> CurriculumGraph:
     """Scenario curriculum (default when unset) with any redesign applied."""
-    graph = scenario.curriculum if scenario.curriculum is not None else _cached_default_curriculum()
+    graph = _base_graph(scenario)
     factor = scenario.interventions.curriculum_redesign_factor
     if factor < 1.0:
         graph = apply_curriculum_redesign(graph, factor)
     return graph
+
+
+def failure_table(scenario: "ScenarioSpec") -> np.ndarray:
+    """Per-attempt failure probabilities of a scenario, ``(horizon, courses + 1)``.
+
+    Row ``t - 1`` holds semester ``t``: :func:`fail_probability` of each
+    course of the scenario's effective graph, in ``graph.courses`` order, and
+    0 for the empty slot -1 in the last column.
+    """
+    graph, shock, modifiers = effective_graph(scenario), scenario.shock, scenario.interventions
+    table = [[fail_probability(c, shock, modifiers, t) for c in graph.courses] + [0.0]
+             for t in range(1, scenario.horizon + 1)]
+    return np.array(table).reshape(scenario.horizon, len(graph) + 1)
+
+
+def _population(scenario: "ScenarioSpec"):
+    """The population parameters a scenario's cohorts are drawn with."""
+    population = scenario.population
+    if population.n_agents != scenario.n_agents:
+        population = replace(population, n_agents=scenario.n_agents)
+    return population
+
+
+#: What the specs of one batch must agree on.  Only ``shock``,
+#: ``interventions`` and ``id`` may differ between its blocks.
+SHARED_FIELDS = ("n_agents", "horizon", "course_load", "base_seed", "population",
+                 "coefficients", "dynamics", "curriculum")
+
+
+def _shared_value(scenario: "ScenarioSpec", name: str):
+    if name == "population":
+        return _population(scenario)
+    if name == "curriculum":  # a redesign changes rates and IFC only, never these
+        return [(c.id, c.prerequisites) for c in _base_graph(scenario).courses]
+    return getattr(scenario, name)
+
+
+def check_shared(scenarios: Sequence["ScenarioSpec"]) -> None:
+    """Raise ``ValueError`` unless ``scenarios`` may be blocks of one batch.
+
+    They must agree on every field of :data:`SHARED_FIELDS`, the curriculum
+    on its course order and prerequisites only; the message names the first
+    field that differs.
+    """
+    first = scenarios[0]
+    others = [s for s in scenarios if s is not first]
+    for name in SHARED_FIELDS:
+        value = _shared_value(first, name)
+        for other in others:
+            if _shared_value(other, name) != value:
+                raise ValueError(f"scenarios {first.id!r} and {other.id!r} cannot share a batch: "
+                                 f"they differ in {name}")
 
 
 def _semester_rows(state: AgentBatch, n: int, rows, slots, failed, semester: int) -> list[tuple]:
@@ -424,42 +503,50 @@ def _semester_rows(state: AgentBatch, n: int, rows, slots, failed, semester: int
     ]
 
 
-def run_realisations(scenario: "ScenarioSpec", indices: Sequence[int],
-                     prepared_graph: CurriculumGraph | None = None,
-                     record_rows: bool = False) -> list[TrajectoryLog]:
-    """Run several realisations of a scenario together, one log per index.
+def run_blocks(blocks: Sequence[tuple["ScenarioSpec", int]],
+               tables: Sequence[np.ndarray] | None = None,
+               record_rows: bool = False) -> list[TrajectoryLog]:
+    """Run blocks -- (scenario, realisation index) pairs -- as one batch, one log per block.
 
-    Realisation ``i`` draws its cohort from seed ``base_seed XOR i`` and its
-    engine stream from ``SeedSequence([seed, 1])``; each semester it takes
-    ``course_load`` uniforms, ``course_load`` grade deviates and one hazard
-    uniform per agent, so its results do not depend on which realisations
-    share its batch.  ``prepared_graph`` lets ensemble runners pass a
-    pre-built effective graph (redesign already applied).
+    The scenarios must pass :func:`check_shared`.  Realisation ``i`` draws its
+    cohort from seed ``base_seed XOR i``, once for all of its blocks, and each
+    block draws from its own engine stream ``SeedSequence([seed, 1])``: each
+    semester ``course_load`` uniforms, ``course_load`` grade deviates and one
+    hazard uniform per agent.  So a block's results depend neither on which
+    blocks share its batch nor on their scenarios, and blocks of one index are
+    common-random-number replicates of each other.  ``tables[k]`` is block
+    ``k``'s :func:`failure_table`; ensemble runners pass the tables they
+    built once per scenario.
     """
+    scenarios = [spec for spec, _ in blocks]
+    indices = [i for _, i in blocks]
     if any(i < 0 for i in indices):
         raise ValueError("realisation_index must be >= 0")
-    graph = prepared_graph if prepared_graph is not None else effective_graph(scenario)
-    population = scenario.population
-    if population.n_agents != scenario.n_agents:
-        population = replace(population, n_agents=scenario.n_agents)
-    seeds = [scenario.base_seed ^ i for i in indices]
-    state = AgentBatch([generate_cohort(population, seed) for seed in seeds], graph)
+    check_shared(scenarios)
+    if tables is None:
+        tables = [failure_table(spec) for spec in scenarios]
+    shared = scenarios[0]
+    population = _population(shared)
+    seeds = [shared.base_seed ^ i for i in indices]
+    cohorts = {seed: generate_cohort(population, seed) for seed in dict.fromkeys(seeds)}
+    state = AgentBatch([cohorts[seed] for seed in seeds], _base_graph(shared))
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, 1])) for seed in seeds]
+    fail = np.stack(tables, axis=1)  # (horizon, blocks, courses + 1)
 
-    n = scenario.n_agents
-    u, z = np.empty((2, len(seeds) * n, scenario.course_load))
-    hazard = np.empty(len(seeds) * n)
-    semesters: list[list[tuple]] = [[] for _ in indices]
-    live = list(range(len(indices)))
-    for t in range(1, scenario.horizon + 1):
+    n = shared.n_agents
+    u, z = np.empty((2, len(blocks) * n, shared.course_load))
+    hazard = np.empty(len(blocks) * n)
+    semesters: list[list[tuple]] = [[] for _ in blocks]
+    live = list(range(len(blocks)))
+    for t in range(1, shared.horizon + 1):
         for k in live:
             block = slice(k * n, (k + 1) * n)
             rngs[k].random(out=u[block])
             rngs[k].standard_normal(out=z[block])
             rngs[k].random(out=hazard[block])
-        rows, slots, failed = advance_semester(state, scenario, u, z, hazard, t)
+        rows, slots, failed = advance_semester(state, scenarios, fail[t - 1], u, z, hazard, t)
         if record_rows:
-            bounds = np.searchsorted(rows, np.arange(len(indices) + 1) * n).tolist()
+            bounds = np.searchsorted(rows, np.arange(len(blocks) + 1) * n).tolist()
             for k in live:
                 part = slice(bounds[k], bounds[k + 1])
                 semesters[k].append(tuple(_semester_rows(
@@ -471,19 +558,25 @@ def run_realisations(scenario: "ScenarioSpec", indices: Sequence[int],
     def log(k: int) -> TrajectoryLog:
         block = slice(k * n, (k + 1) * n)
         return TrajectoryLog(
-            realisation_index=indices[k], horizon=scenario.horizon,
+            realisation_index=indices[k], horizon=shared.horizon,
             status=state.status[block], cause=state.cause[block],
             exit_semester=state.exit_semester[block], gpa=state.gpa[block],
             resilience=state.resilience[block], initial_resilience=state.initial_resilience[block],
             failures=state.failures[block], semesters=tuple(semesters[k]))
-    return [log(k) for k in range(len(indices))]
+    return [log(k) for k in range(len(blocks))]
+
+
+def run_realisations(scenario: "ScenarioSpec", indices: Sequence[int],
+                     record_rows: bool = False) -> list[TrajectoryLog]:
+    """Run several realisations of one scenario as one batch (see :func:`run_blocks`)."""
+    table = failure_table(scenario)
+    return run_blocks([(scenario, i) for i in indices], [table] * len(indices), record_rows)
 
 
 def run_realisation(scenario: "ScenarioSpec", realisation_index: int,
-                    prepared_graph: CurriculumGraph | None = None,
                     record_rows: bool = True) -> TrajectoryLog:
-    """Run one stochastic realisation of a scenario (see :func:`run_realisations`)."""
-    return run_realisations(scenario, [realisation_index], prepared_graph, record_rows)[0]
+    """Run one stochastic realisation of a scenario (see :func:`run_blocks`)."""
+    return run_realisations(scenario, [realisation_index], record_rows)[0]
 
 
 TRAJECTORY_HEADER = ("realisation", "agent_id", "semester", "status", "gpa",

@@ -9,9 +9,14 @@ calibration; shock multipliers are the scenario definition itself.
 
 Realisations are independent given their derived seeds; ensembles and sweeps
 aggregate in realisation-index order so results are byte-identical for any
-worker count.  Sweeps reuse one cohort-seed sequence across grid points
-(common random numbers), which keeps the amplification surface from being
-dominated by sampling noise.
+worker count.  Several scenarios that differ only in shock and interventions
+run as one set of engine batches (:func:`ensemble_stats`): each batch holds
+blocks -- one realisation index of one scenario -- ordered by index and then
+by scenario, and the blocks of one index start from the same cohort.  Sweep
+grid points, calibration's scenario variants and the sensitivity checks run
+this way, on common random numbers, which keeps their contrasts (the
+amplification surface, the strike-pulse lag) from being dominated by
+sampling noise.
 """
 
 from __future__ import annotations
@@ -22,11 +27,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .curriculum import CurriculumGraph, curriculum_from_dict, curriculum_to_dict
 from .engine import (
     DecisionCoefficients, InterventionModifiers, ResilienceDynamics, ShockConfig,
     LINEAR_CENTRED, PAPER_LITERAL, DEFAULT_COURSE_LOAD,
-    effective_graph, run_realisations,
+    check_shared, failure_table, run_blocks,
 )
 from .metrics import (
     RunMetrics, SweepCell, SweepResult, aggregate_stats, amplification_ci,
@@ -129,36 +136,52 @@ def builtin_scenario(scenario_id: str, base_seed: int = DEFAULT_BASE_SEED) -> Sc
 # Ensemble execution
 # ---------------------------------------------------------------------------
 
-#: Realisations advanced together by the ensemble runners.  Results do not
-#: depend on it; it bounds a batch's memory.
+#: Blocks (one realisation index of one scenario) advanced together by the
+#: ensemble runners.  Results do not depend on it; it bounds a batch's memory.
 BATCH_REALISATIONS = 10
 
 
-def realisation_batches(n_realisations: int) -> list[tuple[int, ...]]:
-    """Indices ``0..n-1`` in consecutive batches of :data:`BATCH_REALISATIONS`."""
-    return [tuple(range(i, min(i + BATCH_REALISATIONS, n_realisations)))
-            for i in range(0, n_realisations, BATCH_REALISATIONS)]
+def block_batches(specs: Sequence[ScenarioSpec]) -> list[list[tuple[int, int]]]:
+    """The (spec position, realisation index) blocks of every spec's ensemble.
 
-
-def _ensemble_chunk(payload: tuple[ScenarioSpec, CurriculumGraph, tuple[int, ...]]
-                    ) -> list[RealisationStats]:
-    spec, graph, indices = payload
-    return [realisation_stats(log) for log in run_realisations(spec, indices, graph)]
-
-
-def ensemble_stats(spec: ScenarioSpec, workers: int = 1) -> list[RealisationStats]:
-    """Per-realisation stats for a whole ensemble, ordered by index.
-
-    Realisations run in batches of :data:`BATCH_REALISATIONS`; with
-    ``workers`` > 1 the batches are spread over a process pool.  The result
-    depends on neither.
+    Blocks are ordered by realisation index and then by spec, so the blocks
+    that start from one cohort sit together, and cut into consecutive
+    batches of :data:`BATCH_REALISATIONS`.
     """
-    graph = effective_graph(spec)
-    payloads = [(spec, graph, chunk) for chunk in realisation_batches(spec.n_realisations)]
+    blocks = [(k, i) for i in range(max(spec.n_realisations for spec in specs))
+              for k, spec in enumerate(specs) if i < spec.n_realisations]
+    return [blocks[j:j + BATCH_REALISATIONS] for j in range(0, len(blocks), BATCH_REALISATIONS)]
+
+
+def _ensemble_chunk(payload: tuple[list[tuple[ScenarioSpec, int]], list]) -> list[RealisationStats]:
+    blocks, tables = payload
+    return [realisation_stats(log) for log in run_blocks(blocks, tables)]
+
+
+def ensemble_stats(specs: Sequence[ScenarioSpec], workers: int = 1) -> list[list[RealisationStats]]:
+    """Per-realisation stats of each spec's ensemble: one list per spec, ordered by index.
+
+    The specs run as blocks of shared batches (:func:`block_batches`), so
+    they must pass :func:`~cohortsim.engine.check_shared`.  Each spec's
+    failure table is built once.  With ``workers`` > 1 the batches are spread
+    over one process pool.  The result depends on neither.
+    """
+    specs = list(specs)
+    check_shared(specs)
+    tables = [failure_table(spec) for spec in specs]
+    batches = block_batches(specs)
+    payloads = [([(specs[k], i) for k, i in batch], [tables[k] for k, _ in batch])
+                for batch in batches]
     if workers <= 1 or len(payloads) == 1:
-        return [s for payload in payloads for s in _ensemble_chunk(payload)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [s for part in pool.map(_ensemble_chunk, payloads) for s in part]
+        parts = [_ensemble_chunk(payload) for payload in payloads]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_ensemble_chunk, payloads))
+    stats: list[list[RealisationStats]] = [[] for _ in specs]
+    for batch, part in zip(batches, parts):
+        for (k, _), s in zip(batch, part):
+            stats[k].append(s)
+    return stats
 
 
 def run_ensemble(spec: ScenarioSpec, workers: int = 1,
@@ -167,7 +190,7 @@ def run_ensemble(spec: ScenarioSpec, workers: int = 1,
 
     Deterministic per spec; the result does not depend on ``workers``.
     """
-    stats = ensemble_stats(spec, workers)
+    stats = ensemble_stats([spec], workers)[0]
     return aggregate_stats(stats, spec.horizon, bootstrap_resamples)
 
 
@@ -216,28 +239,26 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
     entering each amplification value.
     """
     base = sweep.base
-    results: dict[tuple[float, float], RunMetrics] = {}
-    for li in sweep.lambda_inf_grid:
-        for ls in sweep.lambda_str_grid:
-            spec = replace(base, id=f"sweep({li:g},{ls:g})",
-                           shock=replace(base.shock, lambda_inf=li, lambda_str=ls))
-            results[(li, ls)] = run_ensemble(spec, workers, sweep.bootstrap_resamples)
+    grid = [(li, ls) for li in sweep.lambda_inf_grid for ls in sweep.lambda_str_grid]
+    specs = [replace(base, id=f"sweep({li:g},{ls:g})",
+                     shock=replace(base.shock, lambda_inf=li, lambda_str=ls)) for li, ls in grid]
+    stats = dict(zip(grid, ensemble_stats(specs, workers)))
+    d_total = {point: tuple(s.d_total for s in stats[point]) for point in grid}
 
     cells: dict[tuple[float, float], SweepCell] = {}
-    origin = results[(1.0, 1.0)].d_total_by_realisation
-    for li in sweep.lambda_inf_grid:
-        row_base = results[(li, 1.0)].d_total_by_realisation
-        for ls in sweep.lambda_str_grid:
-            m = results[(li, ls)]
-            a_point, a_ci = amplification_ci(
-                m.d_total_by_realisation, row_base, results[(1.0, ls)].d_total_by_realisation,
-                origin, sweep.bootstrap_resamples, [base.base_seed, 2])
-            cells[(li, ls)] = SweepCell(
-                lambda_inf=li, lambda_str=ls,
-                d_total=m.d_total, d_early=m.d_early,
-                amplification=a_point, amplification_ci=a_ci,
-                d_total_by_realisation=m.d_total_by_realisation,
-            )
+    origin = d_total[(1.0, 1.0)]
+    for li, ls in grid:
+        a_point, a_ci = amplification_ci(
+            d_total[(li, ls)], d_total[(li, 1.0)], d_total[(1.0, ls)], origin,
+            sweep.bootstrap_resamples, [base.base_seed, 2])
+        cells[(li, ls)] = SweepCell(
+            lambda_inf=li, lambda_str=ls,
+            # the ensemble means exactly as aggregate_stats computes them
+            d_total=float(np.array(d_total[(li, ls)]).mean()),
+            d_early=float(np.array([s.d_early for s in stats[(li, ls)]]).mean()),
+            amplification=a_point, amplification_ci=a_ci,
+            d_total_by_realisation=d_total[(li, ls)],
+        )
     return SweepResult(
         lambda_inf_grid=sweep.lambda_inf_grid,
         lambda_str_grid=sweep.lambda_str_grid,
@@ -330,11 +351,10 @@ def _qualitative_checks(spec: ScenarioSpec, workers: int,
 
     pulse = {1: 2.5} if spec.horizon else None  # a pulse past the horizon is invalid
 
-    m_base = run_ensemble(shocked(1.0, 1.0), workers, resamples)
-    m_inf = run_ensemble(shocked(1.2, 1.0), workers, resamples)
-    m_str = run_ensemble(shocked(1.0, 2.0), workers, resamples)
-    m_both = run_ensemble(shocked(1.2, 2.0), workers, resamples)
-    m_pulse = run_ensemble(shocked(1.0, 1.0, pulse), workers, resamples)
+    specs = [shocked(1.0, 1.0), shocked(1.2, 1.0), shocked(1.0, 2.0), shocked(1.2, 2.0),
+             shocked(1.0, 1.0, pulse)]
+    m_base, m_inf, m_str, m_both, m_pulse = (
+        aggregate_stats(stats, spec.horizon, resamples) for stats in ensemble_stats(specs, workers))
 
     a_point, a_ci = amplification_ci(
         *(m.d_total_by_realisation for m in (m_both, m_inf, m_str, m_base)),

@@ -142,6 +142,19 @@ class TestSweepCommand:
         assert read(out1 / "sweep_grid.csv") == read(out2 / "sweep_grid.csv")
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--override", "base.n_realisations=3"],
+    ["calibrate", "--budget", "6", "--stage1-realisations", "2", "--full-realisations", "4"],
+])
+def test_out_tree_identical_across_worker_counts(tmp_path, argv):
+    trees = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert run_cli(*argv, "--workers", workers, "--out", out) == 0
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")})
+    assert trees[0] == trees[1] and len(trees[0]) >= 2
+
+
 class TestValidateCommand:
     def test_valid_curriculum_echoes_ifc_table(self, tmp_path, capsys):
         doc_path = tmp_path / "curriculum.json"
@@ -227,6 +240,15 @@ class TestFeaturesCommand:
                        "--students-csv", students, "--takings-csv", takings,
                        "--times", "0,1,3", "--out", out) == 1
         assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_time_exits_one_before_any_artifact(self, tmp_path, capsys):
+        inflation, strikes, students, takings = self.write_inputs(tmp_path)
+        out = tmp_path / "features"
+        assert run_cli("features", "--inflation-csv", inflation, "--strikes-csv", strikes,
+                       "--students-csv", students, "--takings-csv", takings,
+                       "--times", "0,2,0", "--out", out) == 1
+        assert "--times '0,2,0': prediction time 0 is listed twice" in capsys.readouterr().err
         assert not out.exists()
 
     def test_advanced_taking_outside_strike_data_is_accepted(self, tmp_path):

@@ -9,12 +9,13 @@ from cohortsim.curriculum import Course, CurriculumGraph, Cycle, default_curricu
 from cohortsim.engine import (
     AgentBatch, DecisionCoefficients, InterventionModifiers, ResilienceDynamics, ShockConfig,
     advance_semester, continuation_probabilities, effective_graph, fail_probability,
-    grade_attempts, inflation_depletion_factor, run_realisation, run_realisations,
-    select_courses, strike_friction_multiplier, trajectory_csv_rows, PAPER_LITERAL,
+    failure_table, grade_attempts, inflation_depletion_factor, run_blocks, run_realisation,
+    run_realisations, select_courses, strike_friction_multiplier, trajectory_csv_rows,
+    PAPER_LITERAL,
 )
 from cohortsim.population import (
     ACADEMIC, ACTIVE, DROPOUT, EXTERNAL, GRADUATED, NO_CAUSE, RESILIENCE_DEPLETION, STATUSES,
-    Cohort, Status, agent_id,
+    Cohort, PopulationParams, Status, agent_id,
 )
 from cohortsim.scenario import ScenarioSpec, ensemble_stats
 
@@ -63,11 +64,12 @@ def picks(state, course_load, row=0):
 
 
 def step(state, semester, seed=0, **spec):
-    """Advance ``state`` one semester with draws from ``default_rng(seed)``."""
-    scenario = ScenarioSpec(**spec)
+    """Advance ``state``, one block, a semester with draws from ``default_rng(seed)``."""
+    scenario = ScenarioSpec(curriculum=state.graph, **spec)
+    fail = failure_table(scenario)[semester - 1][None]
     rng = np.random.default_rng(seed)
     n, load = len(state.status), scenario.course_load
-    return advance_semester(state, scenario, rng.random((n, load)),
+    return advance_semester(state, [scenario], fail, rng.random((n, load)),
                             rng.standard_normal((n, load)), rng.random(n), semester)
 
 
@@ -75,7 +77,7 @@ def attempt(state, cids, u, z, fail=0.5):
     """Attempt ``cids`` (one slot each) for row 0 with forced draws."""
     index = {c.id: i for i, c in enumerate(state.graph.courses)}
     slots = np.array([[index[c] for c in cids]])
-    p = np.full(len(state.graph) + 1, fail)
+    p = np.full((1, len(state.graph) + 1), fail)
     return grade_attempts(state, np.array([0]), slots, np.array([u]), np.array([z]), p)
 
 
@@ -150,7 +152,7 @@ class TestAttemptCourse:
         rng = np.random.default_rng(0)
         failed = grade_attempts(state, np.arange(20), np.zeros((20, 1), np.intp),
                                 rng.random((20, 1)), rng.standard_normal((20, 1)),
-                                np.zeros(2))
+                                np.zeros((1, 2)))
         assert not failed.any()
         assert all(course_ids(state, state.passed, row) == {"b"} for row in range(20))
 
@@ -423,15 +425,15 @@ class TestBatching:
         return ScenarioSpec(**defaults)
 
     def test_batch_size_does_not_change_results(self, monkeypatch):
-        default = ensemble_stats(self.spec())
+        default = ensemble_stats([self.spec()])
         monkeypatch.setattr(scenario, "BATCH_REALISATIONS", 1)
-        assert ensemble_stats(self.spec()) == default
+        assert ensemble_stats([self.spec()]) == default
         monkeypatch.setattr(scenario, "BATCH_REALISATIONS", 3)
-        assert ensemble_stats(self.spec()) == default
+        assert ensemble_stats([self.spec()]) == default
 
     def test_workers_do_not_change_results(self, monkeypatch):
         monkeypatch.setattr(scenario, "BATCH_REALISATIONS", 2)
-        assert ensemble_stats(self.spec(), workers=2) == ensemble_stats(self.spec(), workers=1)
+        assert ensemble_stats([self.spec()], workers=2) == ensemble_stats([self.spec()], workers=1)
 
     def test_batch_companions_do_not_change_a_realisation(self):
         spec = self.spec()
@@ -440,6 +442,91 @@ class TestBatching:
             alone = run_realisation(spec, log.realisation_index)
             assert outcomes(log) == outcomes(alone)
             assert log.semesters == alone.semesters
+
+
+def exact(log):
+    """A log's per-agent outcomes, GPA and resilience as ``float.hex``."""
+    return [log.status.tolist(), log.cause.tolist(), log.exit_semester.tolist(),
+            log.failures.tolist(), [x.hex() for x in log.gpa.tolist()],
+            [x.hex() for x in log.resilience.tolist()], log.semesters]
+
+
+#: Scenario variants that may share a batch: shocks, a strike pulse and each
+#: intervention lever, curriculum redesign included.
+VARIANTS = {
+    "base": {},
+    "inflation": dict(shock=ShockConfig(lambda_inf=1.2)),
+    "strikes": dict(shock=ShockConfig(lambda_str=2.0)),
+    "both": dict(shock=ShockConfig(lambda_inf=1.3, lambda_str=2.5)),
+    "pulse": dict(shock=ShockConfig(strike_schedule={1: 2.5})),
+    "literal": dict(shock=ShockConfig(shock_form=PAPER_LITERAL)),
+    "tutoring": dict(interventions=InterventionModifiers(academic_support_factor=0.7)),
+    "redesign": dict(interventions=InterventionModifiers(curriculum_redesign_factor=0.6)),
+    "bursary": dict(interventions=InterventionModifiers(financial_support_boost=0.1)),
+    "all": dict(shock=ShockConfig(lambda_inf=1.1, lambda_str=1.5),
+                interventions=InterventionModifiers(0.8, 0.5, 0.05)),
+}
+
+
+class TestMixedBatches:
+    def spec(self, name, **kw):
+        defaults = dict(id=name, n_agents=25, n_realisations=4, horizon=12, base_seed=11)
+        defaults.update(kw)
+        return ScenarioSpec(**{**defaults, **VARIANTS[name]})
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**20), n_agents=st.integers(1, 30),
+           blocks=st.lists(st.tuples(st.sampled_from(sorted(VARIANTS)), st.integers(0, 5)),
+                           min_size=1, max_size=8))
+    def test_every_block_equals_its_scenario_run_alone(self, seed, n_agents, blocks):
+        specs = {name: self.spec(name, n_agents=n_agents, base_seed=seed) for name, _ in blocks}
+        together = run_blocks([(specs[name], i) for name, i in blocks], record_rows=True)
+        for (name, i), log in zip(blocks, together):
+            assert log.realisation_index == i
+            assert exact(log) == exact(run_realisation(specs[name], i))
+
+    def test_block_order_and_batch_size_do_not_change_results(self, monkeypatch):
+        specs = [self.spec(name) for name in VARIANTS]
+        default = ensemble_stats(specs)
+        assert ensemble_stats(specs[::-1]) == default[::-1]
+        for size in (1, 3, 10):
+            monkeypatch.setattr(scenario, "BATCH_REALISATIONS", size)
+            assert ensemble_stats(specs) == default
+        assert default[0] == ensemble_stats([specs[0]])[0]
+
+    def test_blocks_of_one_index_share_a_cohort(self):
+        logs = run_blocks([(self.spec("base"), 2), (self.spec("both"), 2)])
+        assert np.array_equal(logs[0].initial_resilience, logs[1].initial_resilience)
+
+    @pytest.mark.parametrize("field, change", [
+        ("n_agents", dict(n_agents=24)),
+        ("horizon", dict(horizon=11)),
+        ("course_load", dict(course_load=4)),
+        ("base_seed", dict(base_seed=12)),
+        ("population", dict(population=PopulationParams(rho_mean=0.45))),
+        ("coefficients", dict(coefficients=DecisionCoefficients(beta0=-3.0))),
+        ("dynamics", dict(dynamics=ResilienceDynamics(d_fail=0.05))),
+        ("curriculum", dict(curriculum=CurriculumGraph(  # course order
+            [basic_course("a", sem=2), basic_course("b", sem=1)]))),
+        ("curriculum", dict(curriculum=CurriculumGraph(  # prerequisites
+            [basic_course("a", sem=1), basic_course("b", sem=2, prereqs=("a",))]))),
+    ])
+    def test_specs_differing_in_a_shared_field_are_rejected(self, field, change):
+        curriculum = CurriculumGraph([basic_course("a", sem=1), basic_course("b", sem=2)])
+        first = self.spec("base", curriculum=curriculum)
+        other = self.spec("strikes", **{"curriculum": curriculum, **change})
+        with pytest.raises(ValueError, match=f"differ in {field}$"):
+            ensemble_stats([first, other])
+        with pytest.raises(ValueError, match=f"differ in {field}$"):
+            run_blocks([(first, 0), (other, 0)])
+
+    def test_curricula_may_differ_in_rates(self):
+        rates = default_curriculum().replace_courses(
+            Course(**{**c.__dict__, "base_fail_rate": c.base_fail_rate / 2})
+            for c in default_curriculum().courses)
+        spec, halved = self.spec("base"), self.spec("strikes", curriculum=rates)
+        logs = run_blocks([(spec, 0), (halved, 0)])
+        assert exact(logs[1]) == exact(run_realisation(halved, 0, record_rows=False))
 
 
 class TestProperties:

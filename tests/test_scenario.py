@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cohortsim import engine
 from cohortsim.curriculum import Course, CurriculumGraph, Cycle, IFCWeights
 from cohortsim.engine import (
     DecisionCoefficients, InterventionModifiers, LINEAR_CENTRED, PAPER_LITERAL,
@@ -91,6 +93,39 @@ class TestRunSweep:
         rows = sweep_csv_rows(result)
         assert len(rows) == 4
         assert [r[:2] for r in rows] == [(1.0, 1.0), (1.0, 2.0), (1.2, 1.0), (1.2, 2.0)]
+
+    def test_sweep_runs_as_blocks_of_shared_batches(self, monkeypatch):
+        # 49 cells x 3 realisations = 147 blocks, ordered by realisation index
+        # and then by cell, in batches of 10; each batch draws one cohort per index
+        events = []
+        draw, advance = engine.generate_cohort, engine.advance_semester
+
+        def counted_draw(population, seed):
+            events.append(("cohort", seed))
+            return draw(population, seed)
+
+        def counted_advance(state, *args):
+            if events[-1][0] != "batch" or events[-1][1] is not state:
+                events.append(("batch", state))
+            return advance(state, *args)
+
+        monkeypatch.setattr(engine, "generate_cohort", counted_draw)
+        monkeypatch.setattr(engine, "advance_semester", counted_advance)
+        base = ScenarioSpec(n_agents=20, n_realisations=3, base_seed=5)
+        run_sweep(SweepSpec(base=base, bootstrap_resamples=10))
+
+        batches, draws = [], []
+        for kind, value in events:
+            if kind == "cohort":
+                draws.append(value)
+            else:
+                batches.append((len(np.unique(value.block)), draws))
+                draws = []
+        assert draws == []
+        assert [size for size, _ in batches] == [10] * 14 + [7]
+        for b, (_, seeds) in enumerate(batches):
+            indices = sorted({block // 49 for block in range(10 * b, min(10 * b + 10, 147))})
+            assert seeds == [base.base_seed ^ i for i in indices]
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="ascending"):
