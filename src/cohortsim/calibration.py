@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .engine import DecisionCoefficients, ResilienceDynamics
-from .metrics import aggregate_stats
+from .metrics import point_estimates
 from .population import PopulationParams
 from .scenario import (
     CALIBRATED_INTERVENTIONS, DEFAULT_BASE_SEED, INTERVENTION_LEVERS, ScenarioSpec,
@@ -217,9 +217,9 @@ def evaluate_targets(params: FreeParameters, target_names: Sequence[str],
                      n_realisations=n_realisations, horizon=horizon) for key in keys]
     simulated: dict[str, float] = {}
     for key, stats in zip(keys, ensemble_stats(specs, workers)):
-        metrics = aggregate_stats(stats, horizon, bootstrap_resamples=50)
+        point = point_estimates(stats)
         for name in needed[key]:
-            value = getattr(metrics, TARGET_SPECS[name][1])
+            value = getattr(point, TARGET_SPECS[name][1])
             simulated[name] = float(value) if value is not None else 0.0
     return simulated
 

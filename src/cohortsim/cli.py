@@ -19,7 +19,7 @@ import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .calibration import (
@@ -65,7 +65,7 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -353,7 +353,7 @@ def _cmd_features(args) -> int:
     try:
         for t in times:
             matrix = build_feature_view(catalog, students, t, series, graph)
-            header, rows = feature_matrix_csv_rows(matrix)
+            header, rows = feature_matrix_csv_rows(matrix, students)
             matrix_path = out / f"feature_matrix_t{t}.csv"
             _write_csv(matrix_path, header, rows)
             mask_path = out / f"availability_mask_t{t}.csv"

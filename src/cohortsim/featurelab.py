@@ -16,9 +16,15 @@ Cost: every feature but the strike-weighted IFC index is a function of the
 entry month, the entry semester and ``t`` alone, so ``build_feature_view``
 evaluates those once per distinct entry date and only the IFC index per
 student.  A view costs O(entry dates x features + takings), not
-O(students x features).  Each feature still has one definition
-(``_feature_value`` over the scalar helpers), so the values are the same bits
-a per-student evaluation gives.
+O(students x features).  The IFC index is one loop (``_ifc_index``, also
+behind ``ifc_weighted_strike_index``) that reads each course's IFC from a map
+of the basic-cycle courses built once per view, so a view makes no
+per-taking course lookup.  ``feature_matrix_csv_rows`` splits the text the
+same way: the entry-date cells are formatted once per entry date, the IFC
+cell per student, and rows are yielded lazily to the CSV writer.  Each
+feature has one definition (``_entry_feature_value`` over the scalar helpers,
+and ``_ifc_index``), so the values are the same bits a per-student
+evaluation gives.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .curriculum import CurriculumGraph, Cycle
 from .engine import TrajectoryLog
@@ -44,6 +50,11 @@ class FeatureError(ValueError):
     """Insufficient history or malformed feature inputs."""
 
 
+def _strike_intensity_problem(value: float) -> str | None:
+    """Why ``value`` cannot be a strike intensity, or ``None`` if it can."""
+    return None if 0.0 <= value <= 1.0 else f"strike intensity {value} outside [0, 1]"
+
+
 @dataclass(frozen=True)
 class MacroSeries:
     """Monthly inflation plus per-semester strike intensity, gapless by construction."""
@@ -55,8 +66,9 @@ class MacroSeries:
 
     def __post_init__(self) -> None:
         for v in self.strike_intensity:
-            if not 0.0 <= v <= 1.0:
-                raise FeatureError(f"strike intensity {v} outside [0, 1]")
+            message = _strike_intensity_problem(v)
+            if message:
+                raise FeatureError(message)
 
     def inflation_at(self, month: int) -> float:
         offset = month - self.first_month
@@ -114,14 +126,41 @@ def ifc_weighted_strike_index(takings: Iterable[tuple[str, int]], graph: Curricu
     the semester it was taken; repeated takings of one course contribute per
     taking.  Advanced-cycle courses are excluded.
     """
+    return _ifc_index(takings, math.inf, _basic_friction(graph), graph, series)
+
+
+def _basic_friction(graph: CurriculumGraph) -> dict[str, float | None]:
+    """Course id -> standardised IFC (``None`` if unset) of every basic-cycle course."""
+    return {course.id: course.ifc for course in graph.by_cycle(Cycle.BASIC)}
+
+
+def _ifc_index(takings: Iterable[tuple[str, int]], horizon: float,
+               friction: Mapping[str, float | None], graph: CurriculumGraph,
+               series: MacroSeries) -> float:
+    """The IFC index over the takings before semester ``horizon``, in input order.
+
+    ``friction`` is ``_basic_friction(graph)``, built once by the caller.  An
+    unknown course, a basic course without IFC and a taken semester without
+    strike data raise the errors ``graph.course``, this module and
+    ``series.strike_at`` raise.
+    """
+    strikes = series.strike_intensity
+    first, n_semesters = series.first_semester, len(series.strike_intensity)
     total = 0.0
     for course_id, semester in takings:
-        course = graph.course(course_id)
-        if course.cycle is not Cycle.BASIC:
+        if semester >= horizon:
             continue
-        if course.ifc is None:
+        if course_id not in friction:
+            if course_id not in graph:
+                graph.course(course_id)  # raises the unknown-course CurriculumError
+            continue
+        ifc = friction[course_id]
+        if ifc is None:
             raise FeatureError(f"course {course_id!r} has no standardised IFC")
-        total += course.ifc * series.strike_at(semester)
+        offset = semester - first
+        if not 0 <= offset < n_semesters:
+            series.strike_at(semester)  # raises the missing-semester FeatureError
+        total += ifc * strikes[offset]
     return total
 
 
@@ -215,8 +254,10 @@ class FeatureMatrix:
     availability: dict[str, bool]
 
 
-def _feature_value(name: str, student: StudentRecord, t: int, series: MacroSeries,
-                   graph: CurriculumGraph) -> float:
+def _entry_feature_value(name: str, student: StudentRecord, t: int,
+                         series: MacroSeries) -> float:
+    """One entry-date feature: a function of the entry month, the entry
+    semester and ``t`` alone (every catalog feature but the IFC index)."""
     entry_m = student.entry_month
     entry_s = student.entry_semester
     if name == "MACRO_inflacion_entrada":
@@ -240,10 +281,6 @@ def _feature_value(name: str, student: StudentRecord, t: int, series: MacroSerie
         basic_mean = sum(basic) / len(basic) if basic else 0.0
         advanced_mean = sum(advanced) / len(advanced) if advanced else 0.0
         return basic_mean - advanced_mean
-    if name == IFC_FEATURE:
-        horizon = entry_s + t
-        observed = [(c, s) for c, s in student.takings if s < horizon]
-        return ifc_weighted_strike_index(observed, graph, series)
     if name == "MACRO_inflacion_x_paros":
         vol = inflation_volatility_24m(series, entry_m)
         acum = sum(series.strike_at(s) for s in range(entry_s, entry_s + t))
@@ -267,6 +304,7 @@ def build_feature_view(catalog: FeatureCatalog, students: Sequence[StudentRecord
     # part of the row is computed once per (entry month, entry semester).
     entry_columns = tuple(name for name in columns if name != IFC_FEATURE)
     ifc_at = columns.index(IFC_FEATURE) if IFC_FEATURE in columns else None
+    friction = _basic_friction(graph)
     by_entry: dict[tuple[int, int], tuple[float, ...]] = {}
     rows = []
     try:
@@ -275,12 +313,13 @@ def build_feature_view(catalog: FeatureCatalog, students: Sequence[StudentRecord
             shared = by_entry.get(key)
             if shared is None:
                 shared = by_entry[key] = tuple(
-                    _feature_value(name, student, prediction_time, series, graph)
+                    _entry_feature_value(name, student, prediction_time, series)
                     for name in entry_columns)
             if ifc_at is None:
                 rows.append(shared)
             else:
-                ifc = _feature_value(IFC_FEATURE, student, prediction_time, series, graph)
+                ifc = _ifc_index(student.takings, student.entry_semester + prediction_time,
+                                 friction, graph, series)
                 rows.append(shared[:ifc_at] + (ifc,) + shared[ifc_at:])
     except FeatureError as exc:
         raise FeatureError(f"prediction time {prediction_time}, "
@@ -396,9 +435,12 @@ def student_records_from_log(log: TrajectoryLog, entry_month: int, entry_semeste
 def load_macro_series(inflation_csv: str | Path, strikes_csv: str | Path) -> MacroSeries:
     """Read (month, inflation) and (semester, strike_intensity) CSV files.
 
-    Indices must be contiguous integers in ascending order.
+    Indices must be contiguous integers in ascending order.  Inflation rates
+    must be finite and strike intensities within [0, 1]; a bad value is
+    reported with its file and line.
     """
-    def read(path: Path, key: str, value: str) -> tuple[int, list[float]]:
+    def read(path: Path, key: str, value: str,
+             problem: Callable[[float], str | None]) -> tuple[int, list[float]]:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or key not in reader.fieldnames or value not in reader.fieldnames:
@@ -406,9 +448,13 @@ def load_macro_series(inflation_csv: str | Path, strikes_csv: str | Path) -> Mac
             pairs = []
             for line, row in enumerate(reader, start=2):
                 try:
-                    pairs.append((int(row[key]), float(row[value])))
+                    index, number = int(row[key]), float(row[value])
                 except (TypeError, ValueError):
                     raise FeatureError(f"{path}:{line}: malformed row") from None
+                message = problem(number)
+                if message:
+                    raise FeatureError(f"{path}:{line}: {message}")
+                pairs.append((index, number))
         if not pairs:
             raise FeatureError(f"{path}: no data rows")
         indices = [i for i, _ in pairs]
@@ -416,8 +462,11 @@ def load_macro_series(inflation_csv: str | Path, strikes_csv: str | Path) -> Mac
             raise FeatureError(f"{path}: {key} indices must be contiguous and ascending")
         return indices[0], [v for _, v in pairs]
 
-    first_month, inflation = read(Path(inflation_csv), "month", "inflation")
-    first_semester, strikes = read(Path(strikes_csv), "semester", "strike_intensity")
+    first_month, inflation = read(
+        Path(inflation_csv), "month", "inflation",
+        lambda v: None if math.isfinite(v) else f"inflation {v} is not a finite number")
+    first_semester, strikes = read(Path(strikes_csv), "semester", "strike_intensity",
+                                   _strike_intensity_problem)
     return MacroSeries(monthly_inflation=tuple(inflation), first_month=first_month,
                        strike_intensity=tuple(strikes), first_semester=first_semester)
 
@@ -464,13 +513,17 @@ def load_student_records(students_csv: str | Path,
             reader = csv.reader(fh)
             col = _column_indices(takings_csv, reader, ("student_id", "course_id", "semester"))
             id_at, course_at, semester_at = col["student_id"], col["course_id"], col["semester"]
+            # One string object per distinct course id, not one per taking.
+            course_ids: dict[str, str] = {}
             for row in reader:
                 if not row:
                     continue
                 try:
-                    student_id, taking = row[id_at], (row[course_at], int(row[semester_at]))
+                    student_id, course_id = row[id_at], row[course_at]
+                    semester = int(row[semester_at])
                 except (IndexError, ValueError):
                     raise FeatureError(f"{takings_csv}:{reader.line_num}: malformed row") from None
+                taking = (course_ids.setdefault(course_id, course_id), semester)
                 try:
                     takings[student_id].append(taking)
                 except KeyError:
@@ -483,10 +536,38 @@ def load_student_records(students_csv: str | Path,
     ]
 
 
-def feature_matrix_csv_rows(matrix: FeatureMatrix) -> tuple[tuple[str, ...], list[tuple]]:
+def feature_matrix_csv_rows(matrix: FeatureMatrix, students: Sequence[StudentRecord],
+                            ) -> tuple[tuple[str, ...], Iterator[tuple[str, ...]]]:
+    """Header and lazily formatted rows of a view built from ``students``.
+
+    The cells are ``repr`` of the values, the text ``csv.writer`` gives a
+    float.  The entry-date cells of a row are formatted once per (entry
+    month, entry semester), which holds because ``build_feature_view`` gives
+    them the same values for every student of one entry date; only the IFC
+    cell is formatted per student.
+    """
+    if matrix.student_ids != tuple(s.student_id for s in students):
+        raise FeatureError(f"prediction time {matrix.prediction_time}: the students "
+                           "are not the ones the matrix was built from")
     header = ("student_id",) + matrix.columns
-    rows = [(sid,) + row for sid, row in zip(matrix.student_ids, matrix.rows)]
-    return header, rows
+    ifc_at = matrix.columns.index(IFC_FEATURE) if IFC_FEATURE in matrix.columns else None
+
+    def rows() -> Iterator[tuple[str, ...]]:
+        texts: dict[tuple[int, int], tuple[tuple[str, ...], tuple[str, ...]]] = {}
+        for student, row in zip(students, matrix.rows):
+            key = (student.entry_month, student.entry_semester)
+            text = texts.get(key)
+            if text is None:
+                cells = tuple(map(repr, row))
+                text = texts[key] = ((cells, ()) if ifc_at is None
+                                     else (cells[:ifc_at], cells[ifc_at + 1:]))
+            head, tail = text
+            if ifc_at is None:
+                yield (student.student_id,) + head
+            else:
+                yield (student.student_id,) + head + (repr(row[ifc_at]),) + tail
+
+    return header, rows()
 
 
 MASK_CSV_HEADER = ("feature", "level", "available_from", "available")

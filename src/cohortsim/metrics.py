@@ -74,6 +74,32 @@ def realisation_stats(log: TrajectoryLog) -> RealisationStats:
 
 
 @dataclass(frozen=True)
+class PointEstimates:
+    """Ensemble means of the per-realisation rates and the pooled time-to-dropout."""
+
+    d_total: float
+    d_early: float
+    d_late_conditional: float
+    median_time_to_dropout: float | None
+    mean_time_to_dropout: float | None
+
+
+def point_estimates(stats: Sequence[RealisationStats]) -> PointEstimates:
+    """The point estimates ``aggregate_stats`` reports, without its bootstrap."""
+    def mean(values) -> float:
+        return float(np.array(values).mean())
+
+    ttd_pooled = [t for s in stats for t in s.times_to_dropout]
+    return PointEstimates(
+        d_total=mean([s.d_total for s in stats]),
+        d_early=mean([s.d_early for s in stats]),
+        d_late_conditional=mean([s.d_late_conditional for s in stats]),
+        median_time_to_dropout=grouped_median(ttd_pooled) if ttd_pooled else None,
+        mean_time_to_dropout=float(np.mean(ttd_pooled)) if ttd_pooled else None,
+    )
+
+
+@dataclass(frozen=True)
 class RunMetrics:
     """Ensemble-level output measures for one scenario."""
 
@@ -133,9 +159,7 @@ def aggregate_stats(stats: Sequence[RealisationStats], horizon: int,
         lo, hi = ci(cum[:, t])
         curve.append((t + 1, float(cum[:, t].mean()), lo, hi))
 
-    ttd_pooled = [t for s in stats for t in s.times_to_dropout]
-    median_ttd = grouped_median(ttd_pooled) if ttd_pooled else None
-    mean_ttd = float(np.mean(ttd_pooled)) if ttd_pooled else None
+    point = point_estimates(stats)
 
     total_dropouts = sum(sum(s.cause_counts.values()) for s in stats)
     if total_dropouts:
@@ -161,14 +185,14 @@ def aggregate_stats(stats: Sequence[RealisationStats], horizon: int,
         n_agents=n_agents,
         horizon=horizon,
         dropout_curve=tuple(curve),
-        d_total=float(d_total.mean()),
+        d_total=point.d_total,
         d_total_ci=ci(d_total),
-        d_early=float(d_early.mean()),
+        d_early=point.d_early,
         d_early_ci=ci(d_early),
-        d_late_conditional=float(d_late.mean()),
+        d_late_conditional=point.d_late_conditional,
         d_late_conditional_ci=ci(d_late),
-        median_time_to_dropout=median_ttd,
-        mean_time_to_dropout=mean_ttd,
+        median_time_to_dropout=point.median_time_to_dropout,
+        mean_time_to_dropout=point.mean_time_to_dropout,
         cause_shares=cause_shares,
         tercile_breakdown=tercile_breakdown,
         hazard_curve=hazard,

@@ -27,8 +27,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .curriculum import CurriculumGraph, curriculum_from_dict, curriculum_to_dict
 from .engine import (
     DecisionCoefficients, InterventionModifiers, ResilienceDynamics, ShockConfig,
@@ -37,7 +35,7 @@ from .engine import (
 )
 from .metrics import (
     RunMetrics, SweepCell, SweepResult, aggregate_stats, amplification_ci,
-    hazard_excess, realisation_stats, RealisationStats,
+    hazard_excess, point_estimates, realisation_stats, RealisationStats,
 )
 from .population import PopulationParams
 
@@ -251,11 +249,10 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
         a_point, a_ci = amplification_ci(
             d_total[(li, ls)], d_total[(li, 1.0)], d_total[(1.0, ls)], origin,
             sweep.bootstrap_resamples, [base.base_seed, 2])
+        point = point_estimates(stats[(li, ls)])
         cells[(li, ls)] = SweepCell(
             lambda_inf=li, lambda_str=ls,
-            # the ensemble means exactly as aggregate_stats computes them
-            d_total=float(np.array(d_total[(li, ls)]).mean()),
-            d_early=float(np.array([s.d_early for s in stats[(li, ls)]]).mean()),
+            d_total=point.d_total, d_early=point.d_early,
             amplification=a_point, amplification_ci=a_ci,
             d_total_by_realisation=d_total[(li, ls)],
         )

@@ -242,6 +242,29 @@ class TestFeaturesCommand:
         assert expected in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, line, value, expected", [
+        ("inflation.csv", 30, "nan", "inflation nan is not a finite number"),
+        ("inflation.csv", 2, "-inf", "inflation -inf is not a finite number"),
+        ("inflation.csv", 51, "1e999", "inflation inf is not a finite number"),
+        ("strikes.csv", 4, "1.5", "strike intensity 1.5 outside [0, 1]"),
+        ("strikes.csv", 9, "-0.1", "strike intensity -0.1 outside [0, 1]"),
+        ("strikes.csv", 2, "nan", "strike intensity nan outside [0, 1]"),
+    ])
+    def test_bad_macro_value_exits_one_before_any_artifact(self, tmp_path, capsys, name, line,
+                                                           value, expected):
+        inflation, strikes, students, takings = self.write_inputs(tmp_path)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        index, _ = lines[line - 1].split(",")
+        lines[line - 1] = f"{index},{value}"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "features"
+        assert run_cli("features", "--inflation-csv", inflation, "--strikes-csv", strikes,
+                       "--students-csv", students, "--takings-csv", takings,
+                       "--times", "0,1", "--out", out) == 1
+        assert f"{path}:{line}: {expected}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_time_exits_one_before_any_artifact(self, tmp_path, capsys):
         inflation, strikes, students, takings = self.write_inputs(tmp_path)
         out = tmp_path / "features"

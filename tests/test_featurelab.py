@@ -1,15 +1,20 @@
+import csv
+import io
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohortsim.curriculum import Course, CurriculumGraph, Cycle
+from cohortsim.curriculum import (
+    Course, CurriculumError, CurriculumGraph, Cycle, default_curriculum,
+)
 from cohortsim.engine import run_realisation
 from cohortsim.featurelab import (
     FeatureError, MacroSeries, StudentRecord, annualised_inflation,
     build_feature_view, cumulative_inflation, default_feature_catalog,
-    ifc_weighted_strike_index, inflation_volatility_24m, load_macro_series,
-    load_student_records, make_cohort_folds, strike_lag, student_records_from_log,
+    feature_matrix_csv_rows, ifc_weighted_strike_index, inflation_volatility_24m,
+    load_macro_series, load_student_records, make_cohort_folds, strike_lag,
+    student_records_from_log,
 )
 from cohortsim.scenario import ScenarioSpec
 
@@ -262,6 +267,103 @@ class TestViewMatchesScalarRecomputation:
         for record, row in zip(students, matrix.rows, strict=True):
             expected = recomputed_row(record, t, s, graph)
             assert [v.hex() for v in row] == [expected[c].hex() for c in matrix.columns]
+
+
+def csv_bytes(header, rows):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def float_row_bytes(matrix):
+    """The CSV of a view written from its float rows, cell by cell."""
+    return csv_bytes(("student_id",) + matrix.columns,
+                     ((sid,) + row for sid, row in zip(matrix.student_ids, matrix.rows)))
+
+
+class TestFeatureMatrixCsvRows:
+    @settings(max_examples=60, deadline=None)
+    @given(feature_inputs())
+    def test_same_bytes_as_float_rows(self, inputs):
+        s, students, t = inputs
+        matrix = build_feature_view(default_feature_catalog(), students, t, s, mini_graph())
+        assert csv_bytes(*feature_matrix_csv_rows(matrix, students)) == float_row_bytes(matrix)
+
+    def test_negative_zero_kept_for_a_shared_entry_date(self):
+        # Constant deflation: the annualised rate at entry is negative and
+        # unchanged a semester later, so pct_cambio is 0.0 / negative = -0.0
+        # for both students of the first entry date.  The third student's
+        # entry date has constant inflation and a +0.0, which equals -0.0 but
+        # is written differently, so text cached by value would be wrong.
+        inflation = [-1.0] * 40 + [2.0] * 40
+        s = series(inflation=inflation, strikes=[0.1] * 12, first_semester=1)
+        students = [StudentRecord("a", 24, 1, takings=(("b1", 1),)),
+                    StudentRecord("b", 24, 1, takings=(("b2", 1), ("adv", 1))),
+                    StudentRecord("c", 66, 8, takings=(("b1", 8),))]
+        matrix = build_feature_view(default_feature_catalog(), students, 1, s, mini_graph())
+        pct = matrix.columns.index("MACRO_inflacion_pct_cambio")
+        assert [math.copysign(1.0, row[pct]) for row in matrix.rows] == [-1.0, -1.0, 1.0]
+        text = csv_bytes(*feature_matrix_csv_rows(matrix, students))
+        assert text == float_row_bytes(matrix)
+        cells = [line.split(",")[pct + 1] for line in text.decode().splitlines()[1:]]
+        assert cells == ["-0.0", "-0.0", "0.0"]
+
+    def test_mismatched_students_rejected(self):
+        students = [student(), StudentRecord("s2", 24, 1)]
+        matrix = build_feature_view(default_feature_catalog(), students, 1, full_series(),
+                                    mini_graph())
+        for wrong in (students[:1], students[::-1], students + [StudentRecord("s3", 24, 1)]):
+            with pytest.raises(FeatureError, match="prediction time 1"):
+                feature_matrix_csv_rows(matrix, wrong)
+
+
+class TestViewIfcErrors:
+    def view(self, takings, graph=None, t=1):
+        return build_feature_view(default_feature_catalog(), [student(takings)], t,
+                                  full_series(), graph or mini_graph())
+
+    def test_unknown_course(self):
+        with pytest.raises(CurriculumError, match="unknown course 'zz'"):
+            self.view([("b1", 1), ("zz", 1)])
+
+    def test_takings_past_the_horizon_are_not_read(self):
+        matrix = self.view([("b1", 2), ("zz", 3), ("raw", 4), ("b1", 9)], t=2)
+        assert matrix.rows[0][matrix.columns.index("MACRO_IFC_pond_paros_basico")] == 0.8 * 0.10
+
+    def test_basic_course_without_ifc(self):
+        graph = CurriculumGraph([Course(id="raw", name="raw", cycle=Cycle.BASIC,
+                                        scheduled_semester=1)])
+        with pytest.raises(FeatureError, match=r"^prediction time 1, student 's1': "
+                                               r"course 'raw' has no standardised IFC$"):
+            self.view([("raw", 1)], graph)
+
+    def test_missing_strike_semester(self):
+        with pytest.raises(FeatureError, match=r"^prediction time 2, student 's1': "
+                                               r"no strike data for semester 0$"):
+            self.view([("b1", 1), ("b1", 0)], t=2)
+
+    def test_advanced_taking_outside_strike_data_is_accepted(self):
+        matrix = self.view([("adv", 0), ("b1", 2)], t=2)
+        assert matrix.rows[0][matrix.columns.index("MACRO_IFC_pond_paros_basico")] == 0.8 * 0.10
+
+    def test_graph_lookups_do_not_grow_with_takings(self, monkeypatch):
+        graph = default_curriculum()
+        calls = []
+        lookup = CurriculumGraph.course
+
+        def counted(self, course_id):
+            calls.append(course_id)
+            return lookup(self, course_id)
+
+        monkeypatch.setattr(CurriculumGraph, "course", counted)
+        takings = tuple((c.id, 1 + k % 12) for k, c in enumerate(graph.courses))
+        students = [StudentRecord(f"s{i}", 24, 1, takings=takings) for i in range(200)]
+        strikes = series(inflation=[2.0] * 96, strikes=[0.1] * 13, first_semester=1)
+        build_feature_view(default_feature_catalog(), students, 7, strikes, graph)
+        assert 200 * len(takings) > len(graph)
+        assert len(calls) <= len(graph)
 
 
 class TestCohortFolds:

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from cohortsim.engine import TrajectoryLog
 from cohortsim.metrics import (
-    aggregate_stats, amplification, amplification_ci, hazard_curve, hazard_excess, realisation_stats,
+    aggregate_stats, amplification, amplification_ci, hazard_curve, hazard_excess,
+    point_estimates, realisation_stats,
 )
 from cohortsim.population import CAUSES, NO_CAUSE, STATUSES, DropoutCause, Status
 
@@ -143,6 +144,17 @@ class TestAggregate:
         stats = realisation_stats(make_log(0, agents, horizon=4))
         assert stats.at_risk_by_semester == (4, 3, 2, 1)
         assert stats.dropouts_by_semester == (1, 0, 1, 0)
+
+
+    @pytest.mark.parametrize("p", [0.0, 0.37])
+    def test_point_estimates_are_the_aggregate_values(self, p):
+        stats = [realisation_stats(log) for log in bernoulli_logs(7, 30, p, seed=3)]
+        point = point_estimates(stats)
+        m = aggregate_stats(stats, 12, bootstrap_resamples=5)
+        for name in ("d_total", "d_early", "d_late_conditional",
+                     "median_time_to_dropout", "mean_time_to_dropout"):
+            assert getattr(point, name) == getattr(m, name)
+        assert (point.median_time_to_dropout is None) == (p == 0.0)
 
 
 class TestAmplification:
