@@ -42,6 +42,27 @@ TRAJECTORY_RUN_FILES = {
     "trajectories.csv": "1679891142654f1b88b5c89b90d67cfa92feb10626c7ddd41ba9e3ff5a4fe26a",
 }
 
+#: sha256 of every file written by ``sensitivity --scenario <id> --vary
+#: tau_scale=0.8 --vary shock_form=paper-literal`` at 40 agents x 4
+#: realisations x 6 semesters, with the mechanism checks on.  In S7 one of
+#: the mechanism probes is the configuration itself.
+SENSITIVITY_FILES = {
+    "S0": {
+        "manifest.json": "4bfaa1cfe17c19576cf007fb79e41329d4df531b551125ec33b187317bc1d46f",
+        "sensitivity_report.json":
+            "077b1c17e87a091fa7385d3ed98131a499f27b3631a632a4c75e5b1c363f911e",
+        "sensitivity_summary.csv":
+            "75ae7a19f3393749776602f716ff6872dc5efcc8f4cd7cb6e8e7c8e7577d690a",
+    },
+    "S7": {
+        "manifest.json": "796393106ee73f233aed1d5bd0a4343d7b46661e37f54a319d0f8a861a46b1da",
+        "sensitivity_report.json":
+            "223b04b8da235953a18e194ba5f6d2b7e7d8491b8f1a2b26b881b723619ba3e6",
+        "sensitivity_summary.csv":
+            "8fcf0dbde392ea9f8357fc3359470395791a7f83105c78d1f4e7f602dcd79767",
+    },
+}
+
 
 def case_spec(name):
     if name == "pulse":
@@ -79,3 +100,15 @@ def test_trajectory_run_is_pinned(tmp_path, capsys):
     assert code == 0
     files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert files == TRAJECTORY_RUN_FILES
+
+
+@pytest.mark.parametrize("scenario", list(SENSITIVITY_FILES))
+def test_sensitivity_run_is_pinned(tmp_path, capsys, scenario):
+    out = tmp_path / "out"
+    code = cli_main(["sensitivity", "--scenario", scenario,
+                     "--vary", "tau_scale=0.8", "--vary", "shock_form=paper-literal",
+                     "--override", "n_agents=40", "--override", "n_realisations=4",
+                     "--override", "horizon=6", "--out", str(out)])
+    assert code == 0
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert files == SENSITIVITY_FILES[scenario]
