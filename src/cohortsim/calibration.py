@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .engine import DecisionCoefficients, ResilienceDynamics
+from .engine import DecisionCoefficients, InterventionModifiers, ResilienceDynamics
 from .metrics import point_estimates
 from .population import PopulationParams
 from .scenario import (
@@ -87,15 +87,10 @@ TARGET_SPECS: dict[str, tuple[str, str]] = {
     "s7_total": ("S7", "d_total"),
 }
 
-CORE_TARGETS = ("s0_total", "s0_early", "s0_late_conditional", "s0_median_ttd",
-                "s5_total", "s6_total", "s6_early", "s7_total")
-INTERVENTION_TARGETS = ("s1_total", "s2_total", "s3_total", "s4_total")
-
-CORE_PARAMS = ("beta0", "beta1", "beta2", "beta3", "beta4",
-               "d_fail", "r_gain", "external_hazard_base",
-               "rho_mean", "rho_sd", "tau_mean", "tau_sd")
-INTERVENTION_PARAMS = ("academic_support_factor", "curriculum_redesign_factor",
-                       "financial_support_boost")
+#: The two calibration blocks' targets: the intervention scenarios' and the rest.
+INTERVENTION_TARGETS = tuple(name for name, (key, _) in TARGET_SPECS.items()
+                             if key in INTERVENTION_LEVERS)
+CORE_TARGETS = tuple(name for name in TARGET_SPECS if name not in INTERVENTION_TARGETS)
 
 
 @dataclass(frozen=True)
@@ -171,6 +166,10 @@ DEFAULT_BOUNDS: dict[str, tuple[float, float]] = {
     "curriculum_redesign_factor": (0.50, 1.0),
     "financial_support_boost": (0.0, 0.2),
 }
+
+#: The two calibration blocks' parameters, in hypercube-column and descent order.
+INTERVENTION_PARAMS = tuple(f.name for f in dc_fields(InterventionModifiers))
+CORE_PARAMS = tuple(name for name in DEFAULT_BOUNDS if name not in INTERVENTION_PARAMS)
 
 
 def default_weights(target_names: Sequence[str]) -> dict[str, float]:

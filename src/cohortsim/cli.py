@@ -30,7 +30,7 @@ from .curriculum import (
     CurriculumError, curriculum_from_dict, default_curriculum, ifc_table_rows,
     load_curriculum, standardised_ifc, validate_graph,
 )
-from .engine import TRAJECTORY_HEADER, run_realisations, trajectory_csv_rows
+from .engine import TRAJECTORY_HEADER, realisation_cohort, run_blocks, trajectory_csv_rows
 from .featurelab import (
     FeatureError, MASK_CSV_HEADER, availability_mask_rows, build_feature_view, check_history,
     default_feature_catalog, feature_matrix_csv_rows, load_macro_series,
@@ -217,7 +217,7 @@ def _cmd_run(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(TRAJECTORY_HEADER)
             for batch in block_batches([spec]):
-                for log in run_realisations(spec, [i for _, i in batch], record_rows=True):
+                for log in run_blocks([(spec, i) for _, i in batch], record_rows=True):
                     writer.writerows(trajectory_csv_rows(log))
                     stats.append(realisation_stats(log))
         artifacts["trajectories"] = traj_path
@@ -226,14 +226,12 @@ def _cmd_run(args) -> int:
     metrics = aggregate_stats(stats, spec.horizon)
 
     if args.cohort:
-        from .population import cohort_csv_rows, generate_cohort
-        population = replace(spec.population, n_agents=spec.n_agents)
-        cohort = generate_cohort(population, spec.base_seed ^ 0)
+        from .population import cohort_csv_rows
         cohort_path = out / "cohort.csv"
         _write_csv(cohort_path,
                    ("agent_id", "age_at_entry", "gender", "secondary_gpa", "displaced",
                     "parental_education", "resilience", "threshold"),
-                   cohort_csv_rows(cohort))
+                   cohort_csv_rows(realisation_cohort(spec, 0)))
         artifacts["cohort"] = cohort_path
 
     summary_path = out / "metrics_summary.csv"

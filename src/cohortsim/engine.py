@@ -459,6 +459,11 @@ def _population(scenario: "ScenarioSpec"):
     return population
 
 
+def realisation_cohort(scenario: "ScenarioSpec", index: int) -> Cohort:
+    """The cohort realisation ``index`` of ``scenario`` starts from: seed ``base_seed XOR index``."""
+    return generate_cohort(_population(scenario), scenario.base_seed ^ index)
+
+
 #: What the specs of one batch must agree on.  Only ``shock``,
 #: ``interventions`` and ``id`` may differ between its blocks.
 SHARED_FIELDS = ("n_agents", "horizon", "course_load", "base_seed", "population",
@@ -509,8 +514,8 @@ def run_blocks(blocks: Sequence[tuple["ScenarioSpec", int]],
     """Run blocks -- (scenario, realisation index) pairs -- as one batch, one log per block.
 
     The scenarios must pass :func:`check_shared`.  Realisation ``i`` draws its
-    cohort from seed ``base_seed XOR i``, once for all of its blocks, and each
-    block draws from its own engine stream ``SeedSequence([seed, 1])``: each
+    :func:`realisation_cohort` once for all of its blocks, and each block draws
+    from its own engine stream ``SeedSequence([base_seed XOR i, 1])``: each
     semester ``course_load`` uniforms, ``course_load`` grade deviates and one
     hazard uniform per agent.  So a block's results depend neither on which
     blocks share its batch nor on their scenarios, and blocks of one index are
@@ -526,11 +531,10 @@ def run_blocks(blocks: Sequence[tuple["ScenarioSpec", int]],
     if tables is None:
         tables = [failure_table(spec) for spec in scenarios]
     shared = scenarios[0]
-    population = _population(shared)
-    seeds = [shared.base_seed ^ i for i in indices]
-    cohorts = {seed: generate_cohort(population, seed) for seed in dict.fromkeys(seeds)}
-    state = AgentBatch([cohorts[seed] for seed in seeds], _base_graph(shared))
-    rngs = [np.random.default_rng(np.random.SeedSequence([seed, 1])) for seed in seeds]
+    cohorts = {i: realisation_cohort(shared, i) for i in dict.fromkeys(indices)}
+    state = AgentBatch([cohorts[i] for i in indices], _base_graph(shared))
+    rngs = [np.random.default_rng(np.random.SeedSequence([shared.base_seed ^ i, 1]))
+            for i in indices]
     fail = np.stack(tables, axis=1)  # (horizon, blocks, courses + 1)
 
     n = shared.n_agents
@@ -566,17 +570,10 @@ def run_blocks(blocks: Sequence[tuple["ScenarioSpec", int]],
     return [log(k) for k in range(len(blocks))]
 
 
-def run_realisations(scenario: "ScenarioSpec", indices: Sequence[int],
-                     record_rows: bool = False) -> list[TrajectoryLog]:
-    """Run several realisations of one scenario as one batch (see :func:`run_blocks`)."""
-    table = failure_table(scenario)
-    return run_blocks([(scenario, i) for i in indices], [table] * len(indices), record_rows)
-
-
 def run_realisation(scenario: "ScenarioSpec", realisation_index: int,
                     record_rows: bool = True) -> TrajectoryLog:
     """Run one stochastic realisation of a scenario (see :func:`run_blocks`)."""
-    return run_realisations(scenario, [realisation_index], record_rows)[0]
+    return run_blocks([(scenario, realisation_index)], record_rows=record_rows)[0]
 
 
 TRAJECTORY_HEADER = ("realisation", "agent_id", "semester", "status", "gpa",

@@ -273,6 +273,9 @@ def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
 
 SENSITIVITY_OVERRIDES = ("rho_mean", "rho_sd", "tau_scale", "n_realisations", "shock_form")
 
+#: The single-semester strike pulse whose lagged dropout excess the checks probe.
+STRIKE_PULSE = {1: 2.5}
+
 
 @dataclass(frozen=True)
 class QualitativeChecks:
@@ -307,16 +310,11 @@ class SensitivityReport:
 
 
 def _apply_override(spec: ScenarioSpec, name: str, value) -> ScenarioSpec:
-    if name == "rho_mean":
-        limit = 0.2 * abs(spec.population.rho_mean)
-        if abs(float(value) - spec.population.rho_mean) > limit + 1e-12:
-            raise ValueError(f"rho_mean override must stay within +-20% of {spec.population.rho_mean}")
-        return replace(spec, population=replace(spec.population, rho_mean=float(value)))
-    if name == "rho_sd":
-        limit = 0.2 * abs(spec.population.rho_sd)
-        if abs(float(value) - spec.population.rho_sd) > limit + 1e-12:
-            raise ValueError(f"rho_sd override must stay within +-20% of {spec.population.rho_sd}")
-        return replace(spec, population=replace(spec.population, rho_sd=float(value)))
+    if name in ("rho_mean", "rho_sd"):
+        current = getattr(spec.population, name)
+        if abs(float(value) - current) > 0.2 * abs(current) + 1e-12:
+            raise ValueError(f"{name} override must stay within +-20% of {current}")
+        return replace(spec, population=replace(spec.population, **{name: float(value)}))
     if name == "tau_scale":
         scale = float(value)
         if not 0.8 <= scale <= 1.2:
@@ -339,19 +337,29 @@ def _apply_override(spec: ScenarioSpec, name: str, value) -> ScenarioSpec:
                      f"supported: {', '.join(SENSITIVITY_OVERRIDES)}")
 
 
-def _qualitative_checks(spec: ScenarioSpec, workers: int,
-                        resamples: int = 1000) -> QualitativeChecks:
-    """Probe amplification, cycle concentration and the endogenous lag."""
-    def shocked(li: float, ls: float, schedule=None) -> ScenarioSpec:
-        return replace(spec, shock=replace(spec.shock, lambda_inf=li, lambda_str=ls,
-                                           strike_schedule=schedule))
+def _run_configuration(spec: ScenarioSpec, workers: int, check_properties: bool,
+                       resamples: int = 1000) -> tuple[RunMetrics, QualitativeChecks | None]:
+    """Metrics of one configuration and, with ``check_properties``, its mechanism checks.
 
-    pulse = {1: 2.5} if spec.horizon else None  # a pulse past the horizon is invalid
+    The configuration runs in one :func:`ensemble_stats` call with its probes:
+    itself under the multipliers of S0, S5, S6 and S7, then under
+    :data:`STRIKE_PULSE`.  A spec equal to an earlier one runs once.
+    """
+    def shocked(scenario_id: str, schedule=None) -> ScenarioSpec:
+        source = builtin_scenario(scenario_id).shock
+        return replace(spec, shock=replace(spec.shock, lambda_inf=source.lambda_inf,
+                                           lambda_str=source.lambda_str, strike_schedule=schedule))
 
-    specs = [shocked(1.0, 1.0), shocked(1.2, 1.0), shocked(1.0, 2.0), shocked(1.2, 2.0),
-             shocked(1.0, 1.0, pulse)]
-    m_base, m_inf, m_str, m_both, m_pulse = (
-        aggregate_stats(stats, spec.horizon, resamples) for stats in ensemble_stats(specs, workers))
+    pulse = STRIKE_PULSE if spec.horizon else None  # a pulse past the horizon is invalid
+    probes = ([shocked("S0"), shocked("S5"), shocked("S6"), shocked("S7"), shocked("S0", pulse)]
+              if check_properties else [])
+    candidates = [spec, *probes]
+    specs = [s for k, s in enumerate(candidates) if s not in candidates[:k]]
+    metrics = [aggregate_stats(stats, spec.horizon, resamples)
+               for stats in ensemble_stats(specs, workers)]
+    if not check_properties:
+        return metrics[0], None
+    m_base, m_inf, m_str, m_both, m_pulse = (metrics[specs.index(p)] for p in probes)
 
     a_point, a_ci = amplification_ci(
         *(m.d_total_by_realisation for m in (m_both, m_inf, m_str, m_base)),
@@ -360,7 +368,7 @@ def _qualitative_checks(spec: ScenarioSpec, workers: int,
     early_inc = m_str.d_early - m_base.d_early
     late_inc = m_str.d_late_conditional - m_base.d_late_conditional
     excess = hazard_excess(m_pulse.hazard_curve, m_base.hazard_curve)
-    return QualitativeChecks(
+    return metrics[0], QualitativeChecks(
         amplification=a_point,
         amplification_ci=a_ci,
         amplification_positive=a_point > 0.0,
@@ -379,24 +387,18 @@ def sensitivity_run(spec: ScenarioSpec,
 
     ``overrides`` is a mapping or an ordered sequence of (name, value) pairs
     (a name may repeat with different values, e.g. tau_scale at 0.8 and 1.2).
-    Each override is applied in isolation.  With ``check_properties`` the
-    report also re-derives the qualitative mechanism checks (amplification
-    sign at (1.2, 2.0), early-versus-late cycle concentration, and the
+    Each override is applied in isolation, and all of them are validated
+    before anything runs.  With ``check_properties`` the report also
+    re-derives the qualitative mechanism checks (amplification sign at S7's
+    multipliers, early-versus-late cycle concentration under S6's, and the
     strike-pulse lag peak) under each perturbed configuration.
     """
     items = list(overrides.items()) if isinstance(overrides, Mapping) else list(overrides)
-    for name, _ in items:
-        if name not in SENSITIVITY_OVERRIDES:
-            raise ValueError(f"unknown sensitivity override {name!r}; "
-                             f"supported: {', '.join(SENSITIVITY_OVERRIDES)}")
-    base_metrics = run_ensemble(spec, workers)
-    base_checks = _qualitative_checks(spec, workers) if check_properties else None
-    results = []
-    for name, value in items:
-        modified = _apply_override(spec, name, value)
-        metrics = run_ensemble(modified, workers)
-        checks = _qualitative_checks(modified, workers) if check_properties else None
-        results.append(OverrideResult(
+    configs = [spec] + [_apply_override(spec, name, value) for name, value in items]
+    (base_metrics, base_checks), *runs = (
+        _run_configuration(config, workers, check_properties) for config in configs)
+    results = tuple(
+        OverrideResult(
             name=name,
             value=value if isinstance(value, str) else float(value),
             metrics=metrics,
@@ -404,9 +406,8 @@ def sensitivity_run(spec: ScenarioSpec,
             delta_d_early=metrics.d_early - base_metrics.d_early,
             delta_d_late_conditional=metrics.d_late_conditional - base_metrics.d_late_conditional,
             checks=checks,
-        ))
-    return SensitivityReport(base_metrics=base_metrics, base_checks=base_checks,
-                             results=tuple(results))
+        ) for (name, value), (metrics, checks) in zip(items, runs))
+    return SensitivityReport(base_metrics=base_metrics, base_checks=base_checks, results=results)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cohortsim.calibration import (
+    CORE_PARAMS, CORE_TARGETS, INTERVENTION_PARAMS, INTERVENTION_TARGETS,
     CalibrationTargets, FreeParameters, TTD_SCALE, calibrate, default_weights,
     evaluate_targets, latin_hypercube, params_from_dict, residual_csv_rows, score,
     weighted_error,
@@ -68,6 +69,19 @@ class TestScore:
         value = score(params, targets, target_names=("s0_total",),
                       n_realisations=2, **TINY)
         assert value == pytest.approx(0.10, abs=1e-9)  # weight 2 on the baseline
+
+
+class TestBlocks:
+    def test_block_tables_keep_their_order(self):
+        # the parameter order sets the hypercube columns and the descent order
+        assert CORE_PARAMS == ("beta0", "beta1", "beta2", "beta3", "beta4",
+                               "d_fail", "r_gain", "external_hazard_base",
+                               "rho_mean", "rho_sd", "tau_mean", "tau_sd")
+        assert INTERVENTION_PARAMS == ("academic_support_factor", "curriculum_redesign_factor",
+                                       "financial_support_boost")
+        assert CORE_TARGETS == ("s0_total", "s0_early", "s0_late_conditional", "s0_median_ttd",
+                                "s5_total", "s6_total", "s6_early", "s7_total")
+        assert INTERVENTION_TARGETS == ("s1_total", "s2_total", "s3_total", "s4_total")
 
 
 class TestCalibrate:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import cohortsim
+from cohortsim import scenario
 from cohortsim.cli import main
 from cohortsim.curriculum import curriculum_to_dict, default_curriculum
 from cohortsim.scenario import ScenarioSpec, SweepSpec, scenario_to_dict, sweep_to_dict
@@ -376,3 +377,14 @@ class TestSensitivityCommand:
         assert run_cli("sensitivity", "--scenario", "S0", "--out", tmp_path,
                        "--vary", "tau_scale=9", "--no-properties", *TINY) == 1
         assert "tau_scale" in capsys.readouterr().err
+
+    def test_bad_later_override_exits_one_before_running(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("ensemble_stats called")
+
+        monkeypatch.setattr(scenario, "ensemble_stats", no_run)
+        out = tmp_path / "sens"
+        assert run_cli("sensitivity", "--scenario", "S0", "--out", out,
+                       "--vary", "tau_scale=0.9", "--vary", "tau_scale=9", *TINY) == 1
+        assert "tau_scale must be in" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from cohortsim.curriculum import Course, CurriculumGraph, Cycle, default_curricu
 from cohortsim.engine import (
     AgentBatch, DecisionCoefficients, InterventionModifiers, ResilienceDynamics, ShockConfig,
     advance_semester, continuation_probabilities, effective_graph, fail_probability,
-    failure_table, grade_attempts, inflation_depletion_factor, run_blocks, run_realisation,
-    run_realisations, select_courses, strike_friction_multiplier, trajectory_csv_rows,
+    failure_table, grade_attempts, inflation_depletion_factor, realisation_cohort, run_blocks,
+    run_realisation, select_courses, strike_friction_multiplier, trajectory_csv_rows,
     PAPER_LITERAL,
 )
 from cohortsim.population import (
     ACADEMIC, ACTIVE, DROPOUT, EXTERNAL, GRADUATED, NO_CAUSE, RESILIENCE_DEPLETION, STATUSES,
-    Cohort, PopulationParams, Status, agent_id,
+    Cohort, PopulationParams, Status, agent_id, generate_cohort,
 )
 from cohortsim.scenario import ScenarioSpec, ensemble_stats
 
@@ -437,11 +438,19 @@ class TestBatching:
 
     def test_batch_companions_do_not_change_a_realisation(self):
         spec = self.spec()
-        together = run_realisations(spec, [4, 0, 2], record_rows=True)
+        together = run_blocks([(spec, i) for i in (4, 0, 2)], record_rows=True)
         for log in together:
             alone = run_realisation(spec, log.realisation_index)
             assert outcomes(log) == outcomes(alone)
             assert log.semesters == alone.semesters
+
+    def test_realisation_cohort_takes_the_spec_size_and_the_index_seed(self):
+        spec = self.spec(population=PopulationParams(n_agents=4))
+        cohort = realisation_cohort(spec, 3)
+        expected = generate_cohort(PopulationParams(n_agents=30), 5 ^ 3)
+        assert len(cohort) == 30
+        for f in fields(cohort):
+            assert np.array_equal(getattr(cohort, f.name), getattr(expected, f.name))
 
 
 def exact(log):

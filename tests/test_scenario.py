@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohortsim import engine
+from cohortsim import engine, scenario
 from cohortsim.curriculum import Course, CurriculumGraph, Cycle, IFCWeights
 from cohortsim.engine import (
     DecisionCoefficients, InterventionModifiers, LINEAR_CENTRED, PAPER_LITERAL,
@@ -165,6 +166,73 @@ class TestSensitivityRun:
         report = sensitivity_run(spec, {"shock_form": PAPER_LITERAL}, check_properties=False)
         # the literal form is not neutral at lambda = 1, so the baseline shifts
         assert report.results[0].metrics != report.base_metrics
+
+
+def recorded_calls(monkeypatch, fail=False):
+    """Record the specs of every ``scenario.ensemble_stats`` call (or fail on one)."""
+    calls = []
+    run = scenario.ensemble_stats
+
+    def recording(specs, workers=1):
+        if fail:
+            raise AssertionError("ensemble_stats called")
+        calls.append(list(specs))
+        return run(specs, workers)
+
+    monkeypatch.setattr(scenario, "ensemble_stats", recording)
+    return calls
+
+
+def up_to_id(spec):
+    return replace(spec, id="")
+
+
+class TestSensitivityEnsembleCalls:
+    overrides = [("tau_scale", 0.8), ("shock_form", PAPER_LITERAL)]
+
+    @pytest.mark.parametrize("base, per_call", [
+        (tiny_spec(), 5),  # unshocked: the S0 probe is the configuration
+        (replace(builtin_scenario("S7"), n_agents=20, n_realisations=3, horizon=5), 5),
+        (tiny_spec(shock=ShockConfig(lambda_inf=1.1)), 6),  # equals no probe
+        (tiny_spec(horizon=0), 4),  # no pulse: the pulse probe is the S0 probe
+    ])
+    def test_one_call_per_configuration_without_repeats(self, monkeypatch, base, per_call):
+        calls = recorded_calls(monkeypatch)
+        report = sensitivity_run(base, self.overrides)
+        assert len(calls) == 1 + len(self.overrides)
+        assert calls[0][0] == base
+        for specs in calls:
+            assert len(specs) == per_call
+            assert all(up_to_id(a) != up_to_id(b)
+                       for k, a in enumerate(specs) for b in specs[:k])
+        assert report.base_checks is not None
+        assert all(r.checks is not None for r in report.results)
+
+    def test_without_properties_each_configuration_runs_alone(self, monkeypatch):
+        calls = recorded_calls(monkeypatch)
+        sensitivity_run(tiny_spec(), self.overrides, check_properties=False)
+        assert [len(specs) for specs in calls] == [1, 1, 1]
+
+    def test_probe_multipliers_come_from_the_builtin_battery(self, monkeypatch):
+        calls = recorded_calls(monkeypatch)
+        sensitivity_run(tiny_spec(shock=ShockConfig(lambda_inf=1.1)), [])
+        shocks = [(s.shock.lambda_inf, s.shock.lambda_str, s.shock.strike_schedule)
+                  for s in calls[0][1:]]
+        battery = [builtin_scenario(i).shock for i in ("S0", "S5", "S6", "S7")]
+        assert shocks == [(b.lambda_inf, b.lambda_str, None) for b in battery] + [
+            (1.0, 1.0, scenario.STRIKE_PULSE)]
+
+    def test_bad_later_override_raises_before_any_run(self, monkeypatch):
+        recorded_calls(monkeypatch, fail=True)
+        with pytest.raises(ValueError, match="tau_scale must be in"):
+            sensitivity_run(tiny_spec(), [("tau_scale", 0.9), ("tau_scale", 9)])
+        with pytest.raises(ValueError, match="unknown sensitivity override 'nonsense'"):
+            sensitivity_run(tiny_spec(), [("rho_sd", 0.2), ("nonsense", 1)])
+
+    def test_first_bad_override_in_order_names_the_error(self, monkeypatch):
+        recorded_calls(monkeypatch, fail=True)
+        with pytest.raises(ValueError, match="rho_sd override must stay within"):
+            sensitivity_run(tiny_spec(), [("rho_sd", 0.5), ("nonsense", 1)])
 
 
 def identity_with(*entries):
