@@ -29,7 +29,7 @@ from .metrics import point_estimates
 from .population import PopulationParams
 from .scenario import (
     CALIBRATED_INTERVENTIONS, DEFAULT_BASE_SEED, INTERVENTION_LEVERS, ScenarioSpec,
-    builtin_scenario, ensemble_stats, lever_interventions,
+    WorkerPool, builtin_scenario, ensemble_stats, lever_interventions, worker_pool,
 )
 
 #: One semester of median time-to-dropout error counts like 6 percentage
@@ -200,7 +200,7 @@ def weighted_error(simulated: Mapping[str, float], targets: CalibrationTargets,
 
 def evaluate_targets(params: FreeParameters, target_names: Sequence[str],
                      n_realisations: int, n_agents: int = 300, horizon: int = 12,
-                     base_seed: int = DEFAULT_BASE_SEED, workers: int = 1,
+                     base_seed: int = DEFAULT_BASE_SEED, workers: int | WorkerPool = 1,
                      ) -> dict[str, float]:
     """Simulate every scenario the named targets require, in one ensemble call, and read them off.
 
@@ -227,7 +227,7 @@ def score(params: FreeParameters, targets: CalibrationTargets,
           target_names: Sequence[str] | None = None, n_realisations: int = 100,
           n_agents: int = 300, horizon: int = 12,
           weights: Mapping[str, float] | None = None,
-          base_seed: int = DEFAULT_BASE_SEED, workers: int = 1) -> float:
+          base_seed: int = DEFAULT_BASE_SEED, workers: int | WorkerPool = 1) -> float:
     """Full objective: simulate, then weighted absolute error. Zero is perfect."""
     names = tuple(target_names) if target_names is not None else tuple(TARGET_SPECS)
     simulated = evaluate_targets(params, names, n_realisations, n_agents, horizon,
@@ -296,7 +296,7 @@ def _search_block(initial: FreeParameters, names: Sequence[str],
                   target_names: Sequence[str], weights: Mapping[str, float],
                   budget: _Budget, rng_seed: int, stage1_realisations: int,
                   full_realisations: int, n_agents: int, horizon: int, base_seed: int,
-                  workers: int) -> tuple[FreeParameters, float, float]:
+                  workers: WorkerPool) -> tuple[FreeParameters, float, float]:
     """Two-stage search over ``names``; returns (best, stage1_score, final_score).
 
     Candidates rank by the weighted count of targets outside their tolerance,
@@ -365,7 +365,7 @@ def calibrate(targets: CalibrationTargets = CalibrationTargets(),
               n_agents: int = 300, horizon: int = 12,
               base_seed: int = DEFAULT_BASE_SEED,
               target_names: Sequence[str] | None = None,
-              workers: int = 1) -> CalibrationResult:
+              workers: int | WorkerPool = 1) -> CalibrationResult:
     """Search free parameters to reproduce the calibration targets.
 
     Block-wise: core behavioural parameters are fitted against the baseline
@@ -399,32 +399,34 @@ def calibrate(targets: CalibrationTargets = CalibrationTargets(),
     core_names = tuple(t for t in names if t in set(CORE_TARGETS))
     itv_names = tuple(t for t in names if t in set(INTERVENTION_TARGETS))
 
-    stage1_best = float("inf")
-    if core_names:
-        core_budget = tracker.left if not itv_names else max(1, int(tracker.left * 0.7))
-        core_tracker = _Budget(min(core_budget, tracker.left))
-        params, s1, _ = _search_block(
-            params, core_params, all_bounds,
-            targets, core_names, weights, core_tracker, seed,
-            stage1_realisations, full_realisations, n_agents, horizon, base_seed, workers)
-        tracker.left -= core_tracker.used
-        tracker.used += core_tracker.used
-        stage1_best = min(stage1_best, s1)
-    if itv_names and tracker.left > 0:
-        itv_tracker = _Budget(tracker.left)
-        params, s1, _ = _search_block(
-            params, itv_params, all_bounds,
-            targets, itv_names, weights, itv_tracker, seed + 1,
-            stage1_realisations, full_realisations, n_agents, horizon, base_seed, workers)
-        tracker.left -= itv_tracker.used
-        tracker.used += itv_tracker.used
-        stage1_best = min(stage1_best, s1)
+    # Every evaluation's ensemble runs in one pool.
+    with worker_pool(workers) as pool:
+        stage1_best = float("inf")
+        if core_names:
+            core_budget = tracker.left if not itv_names else max(1, int(tracker.left * 0.7))
+            core_tracker = _Budget(min(core_budget, tracker.left))
+            params, s1, _ = _search_block(
+                params, core_params, all_bounds,
+                targets, core_names, weights, core_tracker, seed,
+                stage1_realisations, full_realisations, n_agents, horizon, base_seed, pool)
+            tracker.left -= core_tracker.used
+            tracker.used += core_tracker.used
+            stage1_best = min(stage1_best, s1)
+        if itv_names and tracker.left > 0:
+            itv_tracker = _Budget(tracker.left)
+            params, s1, _ = _search_block(
+                params, itv_params, all_bounds,
+                targets, itv_names, weights, itv_tracker, seed + 1,
+                stage1_realisations, full_realisations, n_agents, horizon, base_seed, pool)
+            tracker.left -= itv_tracker.used
+            tracker.used += itv_tracker.used
+            stage1_best = min(stage1_best, s1)
 
-    # Final report: rescore the returned point on every requested target, at
-    # full ensemble size when the budget allowed stage 2 anywhere.
-    report_realisations = full_realisations if budget > 1 else stage1_realisations
-    simulated = evaluate_targets(params, names, report_realisations, n_agents,
-                                 horizon, base_seed=base_seed, workers=workers)
+        # Final report: rescore the returned point on every requested target, at
+        # full ensemble size when the budget allowed stage 2 anywhere.
+        report_realisations = full_realisations if budget > 1 else stage1_realisations
+        simulated = evaluate_targets(params, names, report_realisations, n_agents,
+                                     horizon, base_seed=base_seed, workers=pool)
     final_score = weighted_error(simulated, targets, weights)
     residuals = {name: simulated[name] - getattr(targets, name) for name in simulated}
     within = {name: abs(residuals[name]) <= targets.tolerance_for(name) for name in residuals}

@@ -32,8 +32,8 @@ from .curriculum import (
 )
 from .engine import TRAJECTORY_HEADER, realisation_cohort, run_blocks, trajectory_csv_rows
 from .featurelab import (
-    FeatureError, MASK_CSV_HEADER, availability_mask_rows, build_feature_view, check_history,
-    default_feature_catalog, feature_matrix_csv_rows, load_macro_series,
+    FeatureError, MASK_CSV_HEADER, availability_mask_rows, build_feature_views, csv_id_cells,
+    default_feature_catalog, feature_matrix_csv_chunks, load_macro_series,
     load_student_records,
 )
 from .metrics import (
@@ -321,25 +321,28 @@ def _cmd_features(args) -> int:
         raise CliInputError(f"{exc.filename}: file not found") from None
     except (FeatureError, CurriculumError) as exc:
         raise CliInputError(str(exc)) from None
-    for student in students:
-        for course_id, _ in student.takings:
-            if course_id not in graph:
-                raise CliInputError(f"{args.takings_csv}: unknown course {course_id!r} "
-                                    f"(student {student.student_id!r})")
+    known = {course.id for course in graph.courses}
+    if not {course_id for student in students for course_id, _ in student.takings} <= known:
+        student, course_id = next((student, course_id) for student in students
+                                  for course_id, _ in student.takings if course_id not in known)
+        raise CliInputError(f"{args.takings_csv}: unknown course {course_id!r} "
+                            f"(student {student.student_id!r})")
     try:
         times = [int(t) for t in args.times.split(",") if t.strip() != ""]
     except ValueError:
         raise CliInputError(f"--times {args.times!r}: expected comma-separated integers") from None
     if not times:
         raise CliInputError("--times must list at least one prediction time")
+    negative = [t for t in times if t < 0]
+    if negative:
+        raise CliInputError(f"--times {args.times!r}: prediction time {negative[0]} is negative")
     repeated = [t for k, t in enumerate(times) if t in times[:k]]
     if repeated:
         raise CliInputError(f"--times {args.times!r}: prediction time {repeated[0]} is listed twice")
     catalog = default_feature_catalog()
-    # Views are written one at a time, so a history gap at a later time must
-    # fail before the first write.
+    # Every view is built, and every history gap found, before the first write.
     try:
-        check_history(catalog, students, times, series, graph)
+        matrices = build_feature_views(catalog, students, times, series, graph)
     except FeatureError as exc:
         raise CliInputError(str(exc)) from None
     out = _out_dir(args)
@@ -348,18 +351,16 @@ def _cmd_features(args) -> int:
               "students": Path(args.students_csv)}
     if args.takings_csv:
         inputs["takings"] = Path(args.takings_csv)
-    try:
-        for t in times:
-            matrix = build_feature_view(catalog, students, t, series, graph)
-            header, rows = feature_matrix_csv_rows(matrix, students)
-            matrix_path = out / f"feature_matrix_t{t}.csv"
-            _write_csv(matrix_path, header, rows)
-            mask_path = out / f"availability_mask_t{t}.csv"
-            _write_csv(mask_path, MASK_CSV_HEADER, availability_mask_rows(catalog, matrix))
-            artifacts[f"feature_matrix_t{t}"] = matrix_path
-            artifacts[f"availability_mask_t{t}"] = mask_path
-    except FeatureError as exc:
-        raise CliInputError(str(exc)) from None
+    id_cells = csv_id_cells(student.student_id for student in students)
+    for matrix in matrices:
+        t = matrix.prediction_time
+        matrix_path = out / f"feature_matrix_t{t}.csv"
+        with open(matrix_path, "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(feature_matrix_csv_chunks(matrix, id_cells))
+        mask_path = out / f"availability_mask_t{t}.csv"
+        _write_csv(mask_path, MASK_CSV_HEADER, availability_mask_rows(catalog, matrix))
+        artifacts[f"feature_matrix_t{t}"] = matrix_path
+        artifacts[f"availability_mask_t{t}"] = mask_path
     _write_manifest(out, "features", None,
                     {"features": {"times": times, "n_students": len(students)}},
                     artifacts, inputs=inputs)
@@ -421,6 +422,16 @@ def _cmd_sensitivity(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
+    return workers
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cohortsim",
                      description="Agent-based student-trajectory scenario laboratory")
@@ -428,7 +439,7 @@ def _build_parser() -> _Parser:
 
     def add_common(p, seed=True):
         p.add_argument("--out", default="out", help="output directory (created if absent)")
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=_worker_count, default=1,
                        help="parallel workers; results are identical for any value")
         if seed:
             p.add_argument("--seed", type=int, default=None, help="override the base seed")

@@ -13,25 +13,33 @@ uses an absolute semester index; one semester spans six months.  Prediction
 time ``t`` counts completed semesters since entry (0 = at entry).
 
 Cost: every feature but the strike-weighted IFC index is a function of the
-entry month, the entry semester and ``t`` alone, so ``build_feature_view``
-evaluates those once per distinct entry date and only the IFC index per
-student.  A view costs O(entry dates x features + takings), not
-O(students x features).  The IFC index is one loop (``_ifc_index``, also
-behind ``ifc_weighted_strike_index``) that reads each course's IFC from a map
-of the basic-cycle courses built once per view, so a view makes no
-per-taking course lookup.  ``feature_matrix_csv_rows`` splits the text the
-same way: the entry-date cells are formatted once per entry date, the IFC
-cell per student, and rows are yielded lazily to the CSV writer.  Each
-feature has one definition (``_entry_feature_value`` over the scalar helpers,
-and ``_ifc_index``), so the values are the same bits a per-student
-evaluation gives.
+entry month, the entry semester and ``t`` alone, so ``build_feature_views``
+evaluates those once per distinct entry date and time.  The IFC index is one
+scan of each student's takings in input order (``_ifc_totals``) for all
+requested times at once: a basic-cycle taking's ``ifc * intensity`` is
+computed once and added to the total of every time whose horizon is past the
+taking's semester, so each time's total is the same left fold a one-time
+scan gives.  The scan reads each course from a map built once per call, so
+it looks up each taking's course once, not once per view.  A view holds its
+entry-date values per entry date and its IFC column as an ``array``, never
+one tuple per row.  ``feature_matrix_csv_chunks`` writes the text from
+parts formatted once: the id cell per student (``csv_id_cells``, shared by
+every view of a call), the entry-date cells per entry date, and only the IFC
+cell per row, in chunks of a bounded number of lines.  Each feature has one
+definition (``_entry_feature_value`` over the scalar helpers, and
+``_ifc_totals``), so the values are the same bits a per-student evaluation
+gives.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
-from dataclasses import dataclass, replace
+from array import array
+from bisect import bisect_right
+from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -126,42 +134,85 @@ def ifc_weighted_strike_index(takings: Iterable[tuple[str, int]], graph: Curricu
     the semester it was taken; repeated takings of one course contribute per
     taking.  Advanced-cycle courses are excluded.
     """
-    return _ifc_index(takings, math.inf, _basic_friction(graph), graph, series)
+    return _ifc_totals(takings, (math.inf,), _course_friction(graph), graph, series)[0]
 
 
-def _basic_friction(graph: CurriculumGraph) -> dict[str, float | None]:
-    """Course id -> standardised IFC (``None`` if unset) of every basic-cycle course."""
-    return {course.id: course.ifc for course in graph.by_cycle(Cycle.BASIC)}
+def _course_friction(graph: CurriculumGraph) -> dict[str, float | None]:
+    """Course id -> standardised IFC of every basic-cycle course that has one,
+    and ``None`` for every advanced-cycle course, which the index skips.  A
+    basic course without IFC is left out, so reading it fails."""
+    return {course.id: course.ifc if course.cycle is Cycle.BASIC else None
+            for course in graph.courses
+            if course.cycle is not Cycle.BASIC or course.ifc is not None}
 
 
-def _ifc_index(takings: Iterable[tuple[str, int]], horizon: float,
-               friction: Mapping[str, float | None], graph: CurriculumGraph,
-               series: MacroSeries) -> float:
-    """The IFC index over the takings before semester ``horizon``, in input order.
+def _ifc_totals(takings: Iterable[tuple[str, int]], horizons: Sequence[float],
+                friction: Mapping[str, float | None], graph: CurriculumGraph,
+                series: MacroSeries) -> list[float]:
+    """The IFC index over the takings before each of the ascending ``horizons``.
 
-    ``friction`` is ``_basic_friction(graph)``, built once by the caller.  An
-    unknown course, a basic course without IFC and a taken semester without
-    strike data raise the errors ``graph.course``, this module and
-    ``series.strike_at`` raise.
+    One pass in input order: a basic-cycle taking's ``ifc * intensity`` is
+    computed once and added to the total of every horizon past its semester,
+    so each total is the left fold from 0.0 of its own takings' products.  A
+    zero product is not added: a total starts at +0.0 and can never become
+    -0.0, so adding +0.0 or -0.0 would leave it unchanged.
+
+    ``friction`` is ``_course_friction(graph)``, built once by the caller.
+    The first taking before the last horizon that cannot be read raises: an
+    unknown course (``graph.course``'s ``CurriculumError``), a basic course
+    without IFC, or a semester without strike data (``series.strike_at``'s
+    ``FeatureError``).
     """
     strikes = series.strike_intensity
-    first, n_semesters = series.first_semester, len(series.strike_intensity)
-    total = 0.0
+    first, n_semesters = series.first_semester, len(strikes)
+    last, count = horizons[-1], len(horizons)
+    totals = [0.0] * count
     for course_id, semester in takings:
-        if semester >= horizon:
+        if semester >= last:
             continue
-        if course_id not in friction:
-            if course_id not in graph:
-                graph.course(course_id)  # raises the unknown-course CurriculumError
-            continue
-        ifc = friction[course_id]
+        try:
+            ifc = friction[course_id]
+        except KeyError:
+            graph.course(course_id)  # raises the unknown-course CurriculumError
+            # a known course left out of the map is a basic course without IFC
+            raise FeatureError(f"course {course_id!r} has no standardised IFC") from None
         if ifc is None:
-            raise FeatureError(f"course {course_id!r} has no standardised IFC")
+            continue
         offset = semester - first
         if not 0 <= offset < n_semesters:
             series.strike_at(semester)  # raises the missing-semester FeatureError
-        total += ifc * strikes[offset]
-    return total
+        product = ifc * strikes[offset]
+        if product:
+            for j in range(bisect_right(horizons, semester), count):
+                totals[j] += product
+    return totals
+
+
+def _ifc_columns(students: Sequence[StudentRecord], times: Sequence[int],
+                 graph: CurriculumGraph, series: MacroSeries) -> list[array]:
+    """The IFC column at each of the ascending ``times``, one scan per student.
+
+    An error names the student and the earliest time whose view fails.
+    """
+    friction = _course_friction(graph)
+    columns = [array("d") for _ in times]
+    for student in students:
+        horizons = [student.entry_semester + t for t in times]
+        try:
+            totals = _ifc_totals(student.takings, horizons, friction, graph, series)
+        except FeatureError:
+            # The last horizon's view fails; the first one-time view that
+            # fails names the error.
+            for t, horizon in zip(times, horizons):
+                try:
+                    _ifc_totals(student.takings, (horizon,), friction, graph, series)
+                except FeatureError as exc:
+                    raise FeatureError(f"prediction time {t}, "
+                                       f"student {student.student_id!r}: {exc}") from None
+            raise
+        for column, total in zip(columns, totals):
+            column.append(total)
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +296,28 @@ class FeatureMatrix:
 
     Only features available at ``prediction_time`` appear as columns; the
     ``availability`` map records the full catalog mask for the sidecar.
+    Every column but the IFC index is a function of the entry date, so the
+    values are held per entry date: ``entry_values[k]`` are entry date
+    ``k``'s values in column order without the IFC column, and student ``i``
+    has entry date ``entry_of[i]``.  ``ifc`` is the IFC column, or ``None``
+    when the index is not available.  ``rows`` expands them per student.
     """
 
     prediction_time: int
     student_ids: tuple[str, ...]
     columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
     availability: dict[str, bool]
+    entry_of: Sequence[int]
+    entry_values: tuple[tuple[float, ...], ...]
+    ifc: Sequence[float] | None
+
+    @property
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        if self.ifc is None:
+            return tuple(self.entry_values[k] for k in self.entry_of)
+        at = self.columns.index(IFC_FEATURE)
+        return tuple(self.entry_values[k][:at] + (value,) + self.entry_values[k][at:]
+                     for k, value in zip(self.entry_of, self.ifc))
 
 
 def _entry_feature_value(name: str, student: StudentRecord, t: int,
@@ -288,81 +354,70 @@ def _entry_feature_value(name: str, student: StudentRecord, t: int,
     raise FeatureError(f"no computation defined for feature {name!r}")
 
 
+def build_feature_views(catalog: FeatureCatalog, students: Sequence[StudentRecord],
+                        times: Iterable[int], series: MacroSeries,
+                        graph: CurriculumGraph) -> list[FeatureMatrix]:
+    """The view at each of ``times``, in that order, from one scan of the takings.
+
+    Each view holds exactly the features whose availability admits its time.
+    Cumulative features cover [entry, prediction time); the leak guarantee is
+    structural: a feature whose rule requires later data has no column.
+
+    Every error is raised before any view is returned, naming the time and
+    the student: first a missing history of the entry-date features (the
+    earliest failing time, then the first failing entry date in student
+    order), then a taking the IFC index cannot read (the first failing
+    student, at the earliest time whose view fails).
+    """
+    times = list(times)
+    if any(t < 0 for t in times):
+        raise FeatureError("prediction_time must be >= 0")
+    dates: dict[tuple[int, int], int] = {}
+    firsts: list[StudentRecord] = []  # the first student of each entry date
+    entry_of = array("i")
+    for student in students:
+        k = dates.setdefault((student.entry_month, student.entry_semester), len(firsts))
+        if k == len(firsts):
+            firsts.append(student)
+        entry_of.append(k)
+    distinct = sorted(set(times))
+    entry_values: dict[int, tuple[tuple[float, ...], ...]] = {}
+    for t in distinct:
+        names = [f.name for f in catalog.available_at(t) if f.name != IFC_FEATURE]
+        values = []
+        for student in firsts:
+            try:
+                values.append(tuple(_entry_feature_value(name, student, t, series)
+                                    for name in names))
+            except FeatureError as exc:
+                raise FeatureError(f"prediction time {t}, student {student.student_id!r}: "
+                                   f"{exc}") from None
+        entry_values[t] = tuple(values)
+    ifc_times = [t for t in distinct
+                 if any(f.name == IFC_FEATURE for f in catalog.available_at(t))]
+    ifc = {}
+    if ifc_times:
+        ifc = dict(zip(ifc_times, _ifc_columns(students, ifc_times, graph, series)))
+    student_ids = tuple(s.student_id for s in students)
+    return [
+        FeatureMatrix(
+            prediction_time=t,
+            student_ids=student_ids,
+            columns=tuple(f.name for f in catalog.available_at(t)),
+            availability={f.name: f.available_from <= t for f in catalog.features},
+            entry_of=entry_of,
+            entry_values=entry_values[t],
+            ifc=ifc.get(t),
+        )
+        for t in times
+    ]
+
+
 def build_feature_view(catalog: FeatureCatalog, students: Sequence[StudentRecord],
                        prediction_time: int, series: MacroSeries,
                        graph: CurriculumGraph) -> FeatureMatrix:
-    """Matrix of exactly the features whose availability admits this time.
-
-    Cumulative features cover [entry, prediction_time); the leak guarantee is
-    structural: a feature whose rule requires later data has no column.
-    """
-    if prediction_time < 0:
-        raise FeatureError("prediction_time must be >= 0")
-    available = catalog.available_at(prediction_time)
-    columns = tuple(f.name for f in available)
-    # Every column but the IFC index depends only on the entry date, so that
-    # part of the row is computed once per (entry month, entry semester).
-    entry_columns = tuple(name for name in columns if name != IFC_FEATURE)
-    ifc_at = columns.index(IFC_FEATURE) if IFC_FEATURE in columns else None
-    friction = _basic_friction(graph)
-    by_entry: dict[tuple[int, int], tuple[float, ...]] = {}
-    rows = []
-    try:
-        for student in students:
-            key = (student.entry_month, student.entry_semester)
-            shared = by_entry.get(key)
-            if shared is None:
-                shared = by_entry[key] = tuple(
-                    _entry_feature_value(name, student, prediction_time, series)
-                    for name in entry_columns)
-            if ifc_at is None:
-                rows.append(shared)
-            else:
-                ifc = _ifc_index(student.takings, student.entry_semester + prediction_time,
-                                 friction, graph, series)
-                rows.append(shared[:ifc_at] + (ifc,) + shared[ifc_at:])
-    except FeatureError as exc:
-        raise FeatureError(f"prediction time {prediction_time}, "
-                           f"student {student.student_id!r}: {exc}") from None
-    return FeatureMatrix(
-        prediction_time=prediction_time,
-        student_ids=tuple(s.student_id for s in students),
-        columns=columns,
-        rows=tuple(rows),
-        availability={f.name: f.available_from <= prediction_time for f in catalog.features},
-    )
-
-
-def check_history(catalog: FeatureCatalog, students: Sequence[StudentRecord],
-                  times: Iterable[int], series: MacroSeries, graph: CurriculumGraph) -> None:
-    """Raise the ``FeatureError`` that ``build_feature_view`` would raise at
-    any of ``times``, without building the views.
-
-    A caller that writes one view at a time checks first, so that missing
-    history fails before anything is written.  The entry-date features are
-    evaluated once per distinct entry date and time.  The IFC index reads
-    strike data only for observed takings, so it is evaluated only for
-    students with a taking in a semester the strike series lacks.
-    """
-    times = sorted(times)
-    firsts: dict[tuple[int, int], StudentRecord] = {}
-    for student in students:
-        firsts.setdefault((student.entry_month, student.entry_semester), student)
-    entry_dates = [replace(student, takings=()) for student in firsts.values()]
-    for t in times:
-        build_feature_view(catalog, entry_dates, t, series, graph)
-    ifc_times = [t for t in times
-                 if any(f.name == IFC_FEATURE for f in catalog.available_at(t))]
-    known = range(series.first_semester, series.first_semester + len(series.strike_intensity))
-    gaps = {semester for student in students for _, semester in student.takings}.difference(known)
-    if not ifc_times or not gaps:
-        return
-    for student in students:
-        horizon = student.entry_semester + ifc_times[-1]
-        for _, semester in student.takings:
-            if semester in gaps and semester < horizon:
-                first = next(t for t in ifc_times if semester < student.entry_semester + t)
-                build_feature_view(catalog, (student,), first, series, graph)
+    """The view at one prediction time (``build_feature_views``' one-time case)."""
+    return build_feature_views(catalog, students, (prediction_time,), series, graph)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -536,38 +591,62 @@ def load_student_records(students_csv: str | Path,
     ]
 
 
-def feature_matrix_csv_rows(matrix: FeatureMatrix, students: Sequence[StudentRecord],
-                            ) -> tuple[tuple[str, ...], Iterator[tuple[str, ...]]]:
-    """Header and lazily formatted rows of a view built from ``students``.
+#: Lines per chunk of ``feature_matrix_csv_chunks``; bounds the text held at once.
+CSV_CHUNK_ROWS = 4096
 
-    The cells are ``repr`` of the values, the text ``csv.writer`` gives a
-    float.  The entry-date cells of a row are formatted once per (entry
-    month, entry semester), which holds because ``build_feature_view`` gives
-    them the same values for every student of one entry date; only the IFC
-    cell is formatted per student.
+
+def _csv_line(fields: Sequence) -> str:
+    """One line as ``csv.writer`` writes it."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()
+
+
+def csv_id_cells(student_ids: Iterable[str]) -> dict[str, str]:
+    """Student id -> its cell as ``csv.writer`` writes it inside a row.
+
+    A view's id cells do not depend on the view, so a caller writing several
+    views of one student set formats them once.
     """
-    if matrix.student_ids != tuple(s.student_id for s in students):
-        raise FeatureError(f"prediction time {matrix.prediction_time}: the students "
-                           "are not the ones the matrix was built from")
-    header = ("student_id",) + matrix.columns
-    ifc_at = matrix.columns.index(IFC_FEATURE) if IFC_FEATURE in matrix.columns else None
+    # An alphanumeric id is never quoted; any other id is written by csv.writer
+    # beside an empty field, which it writes as nothing after the comma.
+    return {sid: sid if sid.isalnum() else _csv_line((sid, ""))[:-3] for sid in student_ids}
 
-    def rows() -> Iterator[tuple[str, ...]]:
-        texts: dict[tuple[int, int], tuple[tuple[str, ...], tuple[str, ...]]] = {}
-        for student, row in zip(students, matrix.rows):
-            key = (student.entry_month, student.entry_semester)
-            text = texts.get(key)
-            if text is None:
-                cells = tuple(map(repr, row))
-                text = texts[key] = ((cells, ()) if ifc_at is None
-                                     else (cells[:ifc_at], cells[ifc_at + 1:]))
-            head, tail = text
-            if ifc_at is None:
-                yield (student.student_id,) + head
-            else:
-                yield (student.student_id,) + head + (repr(row[ifc_at]),) + tail
 
-    return header, rows()
+def feature_matrix_csv_chunks(matrix: FeatureMatrix,
+                              id_cells: Mapping[str, str] | None = None) -> Iterator[str]:
+    """The CSV text of a view: the header line, then the rows in chunks of
+    at most ``CSV_CHUNK_ROWS`` lines.
+
+    The text is the bytes ``csv.writer`` writes for the header and the float
+    rows, assembled from parts formatted once: a value's cell is its
+    ``repr``, the entry-date cells are formatted once per entry date, the id
+    cell once per student (``id_cells``, from ``csv_id_cells``; built here
+    when not given) and only the IFC cell per row.
+    """
+    cells = csv_id_cells(matrix.student_ids) if id_cells is None else id_cells
+    yield _csv_line(("student_id",) + matrix.columns)
+    ids, entry_of = matrix.student_ids, matrix.entry_of
+    try:
+        if not matrix.columns:  # csv.writer quotes a lone empty field
+            lines = ((cells[sid] or '""') + "\r\n" for sid in ids)
+        elif matrix.ifc is None:
+            rests = ["".join(f",{v!r}" for v in values) + "\r\n"
+                     for values in matrix.entry_values]
+            lines = (cells[sid] + rests[k] for sid, k in zip(ids, entry_of))
+        else:
+            at = matrix.columns.index(IFC_FEATURE)
+            heads = ["".join(f",{v!r}" for v in values[:at]) + ","
+                     for values in matrix.entry_values]
+            tails = ["".join(f",{v!r}" for v in values[at:]) + "\r\n"
+                     for values in matrix.entry_values]
+            lines = (f"{cells[sid]}{heads[k]}{value!r}{tails[k]}"
+                     for sid, k, value in zip(ids, entry_of, matrix.ifc))
+        while chunk := "".join(islice(lines, CSV_CHUNK_ROWS)):
+            yield chunk
+    except KeyError as exc:
+        raise FeatureError(f"prediction time {matrix.prediction_time}: "
+                           f"no id cell for student {exc.args[0]!r}") from None
 
 
 MASK_CSV_HEADER = ("feature", "level", "available_from", "available")

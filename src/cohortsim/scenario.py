@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .curriculum import CurriculumGraph, curriculum_from_dict, curriculum_to_dict
 from .engine import (
@@ -151,18 +151,69 @@ def block_batches(specs: Sequence[ScenarioSpec]) -> list[list[tuple[int, int]]]:
     return [blocks[j:j + BATCH_REALISATIONS] for j in range(0, len(blocks), BATCH_REALISATIONS)]
 
 
+class WorkerPool:
+    """Spreads the batches of every call it serves over up to ``workers`` processes.
+
+    The process pool starts at the first call with more than one batch,
+    sized to that call's batch count when it is below ``workers``, and stays
+    up until :meth:`close`.  At one worker, or for a single batch, the
+    batches run in this process: no pool is started and
+    ``concurrent.futures.process`` is not imported.
+    """
+
+    def __init__(self, workers: int = 1) -> None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        self.workers = workers
+        self._executor = None
+
+    def map(self, fn: Callable, payloads: Sequence) -> list:
+        """``[fn(p) for p in payloads]``, in order, spread over the pool."""
+        if self.workers == 1 or len(payloads) <= 1:
+            return [fn(payload) for payload in payloads]
+        if self._executor is None:
+            from concurrent.futures import ProcessPoolExecutor
+            self._executor = ProcessPoolExecutor(max_workers=min(self.workers, len(payloads)))
+        return list(self._executor.map(fn, payloads))
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+            self._executor = None
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+@contextmanager
+def worker_pool(workers: int | WorkerPool) -> Iterator[WorkerPool]:
+    """``workers`` itself if it is a pool (its owner closes it), else a new
+    pool of that many workers, closed on exit.  A function that makes
+    several ensemble calls runs them all in one pool this way."""
+    if isinstance(workers, WorkerPool):
+        yield workers
+    else:
+        with WorkerPool(workers) as pool:
+            yield pool
+
+
 def _ensemble_chunk(payload: tuple[list[tuple[ScenarioSpec, int]], list]) -> list[RealisationStats]:
     blocks, tables = payload
     return [realisation_stats(log) for log in run_blocks(blocks, tables)]
 
 
-def ensemble_stats(specs: Sequence[ScenarioSpec], workers: int = 1) -> list[list[RealisationStats]]:
+def ensemble_stats(specs: Sequence[ScenarioSpec],
+                   workers: int | WorkerPool = 1) -> list[list[RealisationStats]]:
     """Per-realisation stats of each spec's ensemble: one list per spec, ordered by index.
 
     The specs run as blocks of shared batches (:func:`block_batches`), so
     they must pass :func:`~cohortsim.engine.check_shared`.  Each spec's
-    failure table is built once.  With ``workers`` > 1 the batches are spread
-    over one process pool.  The result depends on neither.
+    failure table is built once.  The batches are spread over the pool
+    :func:`worker_pool` gives for ``workers``.  The result depends on
+    neither the batches nor the workers.
     """
     specs = list(specs)
     check_shared(specs)
@@ -170,11 +221,8 @@ def ensemble_stats(specs: Sequence[ScenarioSpec], workers: int = 1) -> list[list
     batches = block_batches(specs)
     payloads = [([(specs[k], i) for k, i in batch], [tables[k] for k, _ in batch])
                 for batch in batches]
-    if workers <= 1 or len(payloads) == 1:
-        parts = [_ensemble_chunk(payload) for payload in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_ensemble_chunk, payloads))
+    with worker_pool(workers) as pool:
+        parts = pool.map(_ensemble_chunk, payloads)
     stats: list[list[RealisationStats]] = [[] for _ in specs]
     for batch, part in zip(batches, parts):
         for (k, _), s in zip(batch, part):
@@ -182,7 +230,7 @@ def ensemble_stats(specs: Sequence[ScenarioSpec], workers: int = 1) -> list[list
     return stats
 
 
-def run_ensemble(spec: ScenarioSpec, workers: int = 1,
+def run_ensemble(spec: ScenarioSpec, workers: int | WorkerPool = 1,
                  bootstrap_resamples: int = 1000) -> RunMetrics:
     """Run all realisations of a scenario and aggregate them.
 
@@ -228,7 +276,7 @@ class SweepSpec:
             raise ValueError("bootstrap_resamples must be >= 1")
 
 
-def run_sweep(sweep: SweepSpec, workers: int = 1) -> SweepResult:
+def run_sweep(sweep: SweepSpec, workers: int | WorkerPool = 1) -> SweepResult:
     """Simulate every grid point and compute the amplification surface.
 
     All grid points share the base scenario's seed sequence, so the
@@ -337,7 +385,7 @@ def _apply_override(spec: ScenarioSpec, name: str, value) -> ScenarioSpec:
                      f"supported: {', '.join(SENSITIVITY_OVERRIDES)}")
 
 
-def _run_configuration(spec: ScenarioSpec, workers: int, check_properties: bool,
+def _run_configuration(spec: ScenarioSpec, workers: WorkerPool, check_properties: bool,
                        resamples: int = 1000) -> tuple[RunMetrics, QualitativeChecks | None]:
     """Metrics of one configuration and, with ``check_properties``, its mechanism checks.
 
@@ -382,7 +430,8 @@ def _run_configuration(spec: ScenarioSpec, workers: int, check_properties: bool,
 
 def sensitivity_run(spec: ScenarioSpec,
                     overrides: Mapping[str, object] | Sequence[tuple[str, object]],
-                    workers: int = 1, check_properties: bool = True) -> SensitivityReport:
+                    workers: int | WorkerPool = 1,
+                    check_properties: bool = True) -> SensitivityReport:
     """Rerun the ensemble once per override and compare against the base run.
 
     ``overrides`` is a mapping or an ordered sequence of (name, value) pairs
@@ -395,8 +444,9 @@ def sensitivity_run(spec: ScenarioSpec,
     """
     items = list(overrides.items()) if isinstance(overrides, Mapping) else list(overrides)
     configs = [spec] + [_apply_override(spec, name, value) for name, value in items]
-    (base_metrics, base_checks), *runs = (
-        _run_configuration(config, workers, check_properties) for config in configs)
+    with worker_pool(workers) as pool:
+        (base_metrics, base_checks), *runs = [
+            _run_configuration(config, pool, check_properties) for config in configs]
     results = tuple(
         OverrideResult(
             name=name,

@@ -9,7 +9,7 @@ import pytest
 import cohortsim
 from cohortsim import scenario
 from cohortsim.cli import main
-from cohortsim.curriculum import curriculum_to_dict, default_curriculum
+from cohortsim.curriculum import CurriculumGraph, curriculum_to_dict, default_curriculum
 from cohortsim.scenario import ScenarioSpec, SweepSpec, scenario_to_dict, sweep_to_dict
 
 TINY = ["--override", "n_agents=25", "--override", "n_realisations=3",
@@ -156,6 +156,83 @@ def test_out_tree_identical_across_worker_counts(tmp_path, argv):
     assert trees[0] == trees[1] and len(trees[0]) >= 2
 
 
+class StubExecutor:
+    """Stands in for ``ProcessPoolExecutor``: records its size, runs in this process."""
+
+    made: list["StubExecutor"] = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.shut_down = False
+        StubExecutor.made.append(self)
+
+    def map(self, fn, payloads):
+        return map(fn, payloads)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shut_down = True
+
+
+@pytest.fixture
+def stub_pools(monkeypatch):
+    import concurrent.futures
+    StubExecutor.made = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubExecutor)
+    return StubExecutor.made
+
+
+class TestWorkers:
+    CALIBRATE = ["calibrate", "--budget", "6", "--stage1-realisations", "2",
+                 "--full-realisations", "4", "--n-agents", "30"]
+
+    def test_calibrate_runs_every_evaluation_in_one_pool(self, tmp_path, stub_pools):
+        # Stage 1 runs 8 scenarios x 2 realisations: 16 blocks in 2 batches.
+        assert run_cli(*self.CALIBRATE, "--workers", "2", "--out", tmp_path / "w2") == 0
+        assert [(p.max_workers, p.shut_down) for p in stub_pools] == [(2, True)]
+        assert run_cli(*self.CALIBRATE, "--workers", "1", "--out", tmp_path / "w1") == 0
+        assert len(stub_pools) == 1
+        trees = [{p.relative_to(out): p.read_bytes() for p in out.rglob("*")}
+                 for out in (tmp_path / "w1", tmp_path / "w2")]
+        assert trees[0] == trees[1]
+
+    def test_sensitivity_runs_every_configuration_in_one_pool(self, tmp_path, stub_pools,
+                                                              monkeypatch):
+        monkeypatch.setattr(scenario, "BATCH_REALISATIONS", 1)
+        assert run_cli("sensitivity", "--scenario", "S0", "--vary", "tau_scale=0.8",
+                       "--vary", "tau_scale=1.2", "--no-properties", "--workers", "2",
+                       "--out", tmp_path / "sens", *TINY) == 0
+        assert [(p.max_workers, p.shut_down) for p in stub_pools] == [(2, True)]
+
+    def test_pool_is_never_larger_than_the_batch_count(self, tmp_path, stub_pools,
+                                                       monkeypatch):
+        assert run_cli("run", "--scenario", "S0", "--workers", "64", "--out", tmp_path / "one",
+                       *TINY) == 0
+        assert stub_pools == []  # 3 realisations are one batch
+        monkeypatch.setattr(scenario, "BATCH_REALISATIONS", 1)
+        assert run_cli("run", "--scenario", "S0", "--workers", "64", "--out", tmp_path / "three",
+                       *TINY) == 0
+        assert [(p.max_workers, p.shut_down) for p in stub_pools] == [(3, True)]
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "calibrate", "sensitivity"])
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_bad_worker_count_exits_one(self, tmp_path, capsys, stub_pools, command, value):
+        argv = [command, "--scenario", "S0"] if command in ("run", "sensitivity") else [command]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--workers", value, "--out", out) == 1
+        assert "argument --workers:" in capsys.readouterr().err
+        assert not out.exists() and stub_pools == []
+
+    def test_one_worker_imports_no_process_pool(self, tmp_path):
+        code = ("import sys; from cohortsim.cli import main; "
+                f"code = main(['run', '--scenario', 'S0', '--workers', '1', "
+                f"'--out', {str(tmp_path / 'out')!r}, *{TINY!r}]); "
+                "print(code, 'concurrent.futures.process' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(cohortsim.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.splitlines()[-1] == "0 False"
+
+
 class TestValidateCommand:
     def test_valid_curriculum_echoes_ifc_table(self, tmp_path, capsys):
         doc_path = tmp_path / "curriculum.json"
@@ -274,6 +351,37 @@ class TestFeaturesCommand:
                        "--times", "0,2,0", "--out", out) == 1
         assert "--times '0,2,0': prediction time 0 is listed twice" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("times, bad", [("0,-1", -1), ("-3", -3), ("2,-1,-1", -1)])
+    def test_negative_time_exits_one_before_any_artifact(self, tmp_path, capsys, times, bad):
+        inflation, strikes, students, takings = self.write_inputs(tmp_path)
+        out = tmp_path / "features"
+        assert run_cli("features", "--inflation-csv", inflation, "--strikes-csv", strikes,
+                       "--students-csv", students, "--takings-csv", takings,
+                       "--times", times, "--out", out) == 1
+        assert (f"--times {times!r}: prediction time {bad} is negative"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_graph_is_not_read_per_taking(self, tmp_path, monkeypatch):
+        inflation, strikes, students, takings = self.write_inputs(tmp_path)
+        calls = []
+        for name in ("__contains__", "course"):
+            method = getattr(CurriculumGraph, name)
+            monkeypatch.setattr(CurriculumGraph, name,
+                                lambda self, course_id, method=method:
+                                calls.append(course_id) or method(self, course_id))
+        counts = []
+        for n_takings in (3, 300):
+            takings.write_text("student_id,course_id,semester\n" + "".join(
+                f"s{k % 2 + 1},{['am1', 'fis1', 'alg1', 'ele1', 'am2'][k % 5]},{1 + k % 6}\n"
+                for k in range(n_takings)))
+            calls.clear()
+            assert run_cli("features", "--inflation-csv", inflation, "--strikes-csv", strikes,
+                           "--students-csv", students, "--takings-csv", takings,
+                           "--times", "0,1,2,3,4", "--out", tmp_path / f"f{n_takings}") == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_advanced_taking_outside_strike_data_is_accepted(self, tmp_path):
         # The IFC index skips advanced-cycle courses, so their semesters need

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +10,13 @@ from cohortsim.curriculum import (
     Course, CurriculumError, CurriculumGraph, Cycle, default_curriculum,
 )
 from cohortsim.engine import run_realisation
+from cohortsim import featurelab
 from cohortsim.featurelab import (
-    FeatureError, MacroSeries, StudentRecord, annualised_inflation,
-    build_feature_view, cumulative_inflation, default_feature_catalog,
-    feature_matrix_csv_rows, ifc_weighted_strike_index, inflation_volatility_24m,
-    load_macro_series, load_student_records, make_cohort_folds, strike_lag,
-    student_records_from_log,
+    FeatureCatalog, FeatureError, FeatureSpec, MacroSeries, StudentRecord, annualised_inflation,
+    build_feature_view, build_feature_views, csv_id_cells, cumulative_inflation,
+    default_feature_catalog, feature_matrix_csv_chunks, ifc_weighted_strike_index,
+    inflation_volatility_24m, load_macro_series, load_student_records, make_cohort_folds,
+    strike_lag, student_records_from_log,
 )
 from cohortsim.scenario import ScenarioSpec
 
@@ -283,13 +285,51 @@ def float_row_bytes(matrix):
                      ((sid,) + row for sid, row in zip(matrix.student_ids, matrix.rows)))
 
 
-class TestFeatureMatrixCsvRows:
+def text_bytes(matrix, id_cells=None):
+    return "".join(feature_matrix_csv_chunks(matrix, id_cells)).encode()
+
+
+#: Ids csv.writer must quote, or writes differently alone on a line.
+AWKWARD_IDS = ("a,b", 'say "hi"', "two\nlines", "cr\rhere", " lead", "trail ", "", "x-1", "é")
+
+
+class TestFeatureMatrixCsvChunks:
     @settings(max_examples=60, deadline=None)
     @given(feature_inputs())
     def test_same_bytes_as_float_rows(self, inputs):
         s, students, t = inputs
         matrix = build_feature_view(default_feature_catalog(), students, t, s, mini_graph())
-        assert csv_bytes(*feature_matrix_csv_rows(matrix, students)) == float_row_bytes(matrix)
+        assert text_bytes(matrix) == float_row_bytes(matrix)
+
+    @settings(max_examples=40, deadline=None)
+    @given(feature_inputs(), st.lists(st.sampled_from(AWKWARD_IDS), min_size=1, unique=True),
+           st.integers(1, 3))
+    def test_awkward_ids_and_chunks_give_the_float_row_bytes(self, inputs, ids, chunk_rows):
+        s, students, t = inputs
+        students = [replace(record, student_id=sid) for record, sid in zip(students, ids)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(featurelab, "CSV_CHUNK_ROWS", chunk_rows)
+            for catalog in (default_feature_catalog(), late_catalog()):
+                matrix = build_feature_view(catalog, students, t, s, mini_graph())
+                assert text_bytes(matrix) == float_row_bytes(matrix)
+                assert text_bytes(matrix, csv_id_cells(ids)) == float_row_bytes(matrix)
+
+    def test_empty_id_alone_on_a_line_is_quoted(self):
+        students = [StudentRecord("", 24, 1), StudentRecord("a", 24, 1)]
+        matrix = build_feature_view(late_catalog(), students, 0, full_series(), mini_graph())
+        assert matrix.columns == ()
+        assert text_bytes(matrix) == float_row_bytes(matrix) == b'student_id\r\n""\r\na\r\n'
+        with_column = build_feature_view(late_catalog(), students, 1, full_series(), mini_graph())
+        assert text_bytes(with_column).splitlines()[1].startswith(b",")
+
+    def test_chunks_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(featurelab, "CSV_CHUNK_ROWS", 2)
+        students = [StudentRecord(f"s{i}", 24, 1, takings=(("b1", 1),)) for i in range(5)]
+        matrix = build_feature_view(default_feature_catalog(), students, 1, full_series(),
+                                    mini_graph())
+        chunks = list(feature_matrix_csv_chunks(matrix))
+        assert [chunk.count("\r\n") for chunk in chunks] == [1, 2, 2, 1]
+        assert "".join(chunks).encode() == float_row_bytes(matrix)
 
     def test_negative_zero_kept_for_a_shared_entry_date(self):
         # Constant deflation: the annualised rate at entry is negative and
@@ -305,7 +345,7 @@ class TestFeatureMatrixCsvRows:
         matrix = build_feature_view(default_feature_catalog(), students, 1, s, mini_graph())
         pct = matrix.columns.index("MACRO_inflacion_pct_cambio")
         assert [math.copysign(1.0, row[pct]) for row in matrix.rows] == [-1.0, -1.0, 1.0]
-        text = csv_bytes(*feature_matrix_csv_rows(matrix, students))
+        text = text_bytes(matrix)
         assert text == float_row_bytes(matrix)
         cells = [line.split(",")[pct + 1] for line in text.decode().splitlines()[1:]]
         assert cells == ["-0.0", "-0.0", "0.0"]
@@ -314,9 +354,91 @@ class TestFeatureMatrixCsvRows:
         students = [student(), StudentRecord("s2", 24, 1)]
         matrix = build_feature_view(default_feature_catalog(), students, 1, full_series(),
                                     mini_graph())
-        for wrong in (students[:1], students[::-1], students + [StudentRecord("s3", 24, 1)]):
-            with pytest.raises(FeatureError, match="prediction time 1"):
-                feature_matrix_csv_rows(matrix, wrong)
+        for wrong in (students[:1], [StudentRecord("s3", 24, 1)]):
+            with pytest.raises(FeatureError, match="prediction time 1: no id cell for student"):
+                text_bytes(matrix, csv_id_cells(r.student_id for r in wrong))
+        # id cells are looked up by id, so their order does not matter
+        reordered = csv_id_cells(r.student_id for r in students[::-1] + [StudentRecord("s3", 1, 1)])
+        assert text_bytes(matrix, reordered) == float_row_bytes(matrix)
+
+
+def late_catalog():
+    """A catalog with no feature at t = 0, so the t = 0 view has only the id column."""
+    return FeatureCatalog((FeatureSpec("MACRO_paros_acum_ciclo", "N4", 1, ""),
+                           FeatureSpec("MACRO_IFC_pond_paros_basico", "N4", 1, "")))
+
+
+def signed_graph():
+    """Basic courses with positive, negative and zero IFC, plus an advanced course."""
+    return CurriculumGraph([
+        Course(id="b1", name="b1", cycle=Cycle.BASIC, scheduled_semester=1, ifc=0.8),
+        Course(id="b2", name="b2", cycle=Cycle.BASIC, scheduled_semester=1, ifc=-1.3),
+        Course(id="b3", name="b3", cycle=Cycle.BASIC, scheduled_semester=2, ifc=0.0),
+        Course(id="adv", name="adv", cycle=Cycle.ADVANCED, scheduled_semester=5, ifc=0.9),
+    ])
+
+
+def folded_ifc(takings, horizon, graph, s):
+    """The IFC index as a left fold over the takings in file order, zero products included."""
+    total = 0.0
+    for course_id, semester in takings:
+        course = graph.course(course_id)
+        if semester < horizon and course.cycle is Cycle.BASIC:
+            total += course.ifc * s.strike_at(semester)
+    return total
+
+
+class TestIfcScanOverTimes:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.0, 0.07, 0.1, 0.3, 1.0]), min_size=16, max_size=16),
+           st.lists(st.tuples(st.sampled_from([1, 2, 5]), st.lists(st.tuples(
+               st.sampled_from(["b1", "b2", "b3", "adv"]), st.integers(0, 10)), max_size=12)),
+               min_size=1, max_size=6),
+           st.lists(st.integers(0, 9), min_size=1, max_size=9, unique=True))
+    def test_each_view_matches_a_left_fold(self, strikes, people, times):
+        # Takings come in any order, repeat, and reach past every horizon.
+        s = series(inflation=[2.0] * 160, strikes=strikes, first_semester=1)
+        students = [StudentRecord(f"s{i}", 24 + 6 * (entry - 1), entry,
+                                  takings=tuple((c, entry + k) for c, k in takings))
+                    for i, (entry, takings) in enumerate(people)]
+        graph = signed_graph()
+        views = build_feature_views(default_feature_catalog(), students, times, s, graph)
+        assert [view.prediction_time for view in views] == times
+        for view in views:
+            if view.prediction_time == 0:
+                assert view.ifc is None
+                continue
+            expected = [folded_ifc(r.takings, r.entry_semester + view.prediction_time, graph, s)
+                        for r in students]
+            assert [v.hex() for v in view.ifc] == [v.hex() for v in expected]
+            alone = build_feature_view(default_feature_catalog(), students,
+                                       view.prediction_time, s, graph)
+            assert alone == view
+
+    def test_unbounded_horizon_is_the_whole_fold(self):
+        s = series(strikes=[0.1, 0.0, 0.3, 0.05], first_semester=1)
+        takings = [("b2", 3), ("b1", 1), ("adv", 9), ("b3", 2), ("b1", 3), ("b2", 1)]
+        assert (ifc_weighted_strike_index(takings, signed_graph(), s).hex()
+                == folded_ifc(takings, math.inf, signed_graph(), s).hex())
+
+    def test_each_taking_course_is_looked_up_once(self):
+        class CountedId(str):
+            lookups = 0
+
+            def __hash__(self):
+                CountedId.lookups += 1
+                return str.__hash__(self)
+
+        graph = default_curriculum()
+        takings = tuple((CountedId(c.id), c.scheduled_semester + k % 2)
+                        for k, c in enumerate(graph.courses))
+        students = [StudentRecord(f"s{i}", 24, 1, takings=takings) for i in range(20)]
+        s = series(inflation=[2.0] * 120, strikes=[0.1] * 16, first_semester=1)
+        read = sum(1 for r in students for _, k in r.takings if k < r.entry_semester + 7)
+        for times in ((7,), range(8)):
+            CountedId.lookups = 0
+            build_feature_views(default_feature_catalog(), students, times, s, graph)
+            assert CountedId.lookups == read
 
 
 class TestViewIfcErrors:

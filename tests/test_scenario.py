@@ -14,7 +14,7 @@ from cohortsim.engine import (
 from cohortsim.metrics import sweep_csv_rows
 from cohortsim.population import PopulationParams
 from cohortsim.scenario import (
-    ScenarioSpec, SweepSpec, builtin_scenario, run_ensemble, run_sweep,
+    ScenarioSpec, SweepSpec, WorkerPool, builtin_scenario, run_ensemble, run_sweep,
     scenario_from_dict, scenario_to_dict, sensitivity_run, spec_hash,
     sweep_from_dict, sweep_to_dict,
 )
@@ -69,6 +69,22 @@ class TestRunEnsemble:
         sequential = run_ensemble(tiny_spec(), workers=1)
         parallel = run_ensemble(tiny_spec(), workers=2)
         assert sequential == parallel
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_ensemble(tiny_spec(), workers=workers)
+
+    def test_a_given_pool_serves_every_call(self, monkeypatch):
+        monkeypatch.setattr(scenario, "BATCH_REALISATIONS", 2)
+        with WorkerPool(2) as pool:
+            first = run_ensemble(tiny_spec(), workers=pool)
+            executor = pool._executor
+            assert executor is not None
+            assert run_ensemble(tiny_spec(), workers=pool) == first
+            assert pool._executor is executor
+        assert pool._executor is None
+        assert first == run_ensemble(tiny_spec())
 
 
 class TestRunSweep:
