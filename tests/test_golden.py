@@ -63,6 +63,46 @@ SENSITIVITY_FILES = {
     },
 }
 
+#: sha256 of every file written by ``calibrate --n-agents 40
+#: --stage1-realisations 2 --full-realisations 3`` at a budget (and seed).
+#: Budget 1 stops after the incumbent's stage-1 score, budget 2 after its
+#: rescore; budget 40 reaches the Latin hypercube, the descent and the
+#: intervention block.
+CALIBRATE_FILES = {
+    ("1",): {
+        "calibrated_params.json":
+            "d7ca820aad00fdc3dddb434fc78c05c1cdc389e7b3e590f05c29e1257be24c0f",
+        "calibration_report.json":
+            "3e8f024e6c0878dbfd3a37e4c05c64fdbe1ab5f3fd587dde35dfaefd4861d4dc",
+        "manifest.json": "edeb73637a4fbfefca737374828147df14a7b46c77845245f98a83b18344f7f4",
+        "residuals.csv": "8b31b404eda4d74d8cb0ef61540697cdaed556514937b8daa58dc4791bc9d7c0",
+    },
+    ("2",): {
+        "calibrated_params.json":
+            "d7ca820aad00fdc3dddb434fc78c05c1cdc389e7b3e590f05c29e1257be24c0f",
+        "calibration_report.json":
+            "cbab72b2d7f92eb84f4941039a28e927f9f3badf509e8bda657f89b7620c0865",
+        "manifest.json": "84825dd734d495286d29165fb71bd989faee7c88413c6629c1008af70f5c4bd1",
+        "residuals.csv": "d6318bc5b5dbf1791e2e52f6ff4ef2672a351fc63a0bd0468145cdcf45816d7a",
+    },
+    ("40",): {
+        "calibrated_params.json":
+            "583d32aba268f02acadc58cc431bdae81c6e05ed64002e7517ffc3d5278a5def",
+        "calibration_report.json":
+            "d13e63d9a86e8a5427b05d2aa43a1ff54a3fe64944d89abcb36c94ade5b04b42",
+        "manifest.json": "359e6d1e3ed4d385b3c8bbb3e9c3662399d473f587f5ce736a6bcb648f2dce97",
+        "residuals.csv": "08e0f3daf88293026567430e26f3b5139d82ae2a99ac21e37c95ef6ebe204e39",
+    },
+    ("40", "--seed", "7"): {
+        "calibrated_params.json":
+            "ae8bf7089803e19972a68a38fb7f3a72db439d1b3133d519695fd8bad8d0190e",
+        "calibration_report.json":
+            "cf2f27724410b7bb2a7234542b5878f466b46c280ea61b83ea22f37d8d6af4a6",
+        "manifest.json": "19eb07f642724508ed162ac2c5ddbccd336adaed7df51c4f91f59e58443ff03e",
+        "residuals.csv": "e31592b1d11e3d4ab826ecf638cbe27ada551bca9d309ace7d13d528fbbdbc04",
+    },
+}
+
 
 def case_spec(name):
     if name == "pulse":
@@ -112,3 +152,13 @@ def test_sensitivity_run_is_pinned(tmp_path, capsys, scenario):
     assert code == 0
     files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert files == SENSITIVITY_FILES[scenario]
+
+
+@pytest.mark.parametrize("budget", list(CALIBRATE_FILES), ids=" ".join)
+def test_calibrate_run_is_pinned(tmp_path, capsys, budget):
+    out = tmp_path / "out"
+    code = cli_main(["calibrate", "--n-agents", "40", "--stage1-realisations", "2",
+                     "--full-realisations", "3", "--budget", *budget, "--out", str(out)])
+    assert code == 0
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert files == CALIBRATE_FILES[budget]
