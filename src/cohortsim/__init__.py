@@ -30,8 +30,7 @@ from .scenario import (
     run_sweep, sensitivity_run,
 )
 from .calibration import (
-    CalibrationResult, CalibrationTargets, FreeParameters, calibrate, score,
-    weighted_error,
+    CalibrationResult, CalibrationTargets, FreeParameters, calibrate, weighted_error,
 )
 from .featurelab import (
     CohortFold, FeatureCatalog, FeatureMatrix, MacroSeries, StudentRecord,

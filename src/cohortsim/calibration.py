@@ -13,14 +13,20 @@ ensemble size (monotone: never returns a point worse than the rescored
 stage-1 best).  Points are ranked first by the weighted count of targets
 outside tolerance and then by the weighted error.  Intervention magnitudes
 are calibrated in a second block after the core parameters are frozen, so
-interventions cannot contaminate shock calibration.  Everything is
-deterministic given (seed, budget).
+interventions cannot contaminate shock calibration.
+
+``calibrate`` runs the blocks that have targets in one loop with one
+evaluation count: every block but the last gets 70% of the evaluations left
+(at least one), the last gets the rest.  A block's search sees its targets
+only through a fit function that scores a point at stage-1 or full ensemble
+size.  Everything is deterministic given (seed, budget).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields as dc_fields, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -141,11 +147,20 @@ class FreeParameters:
 
 
 def params_from_dict(doc: Mapping[str, float]) -> FreeParameters:
+    """Free parameters from a JSON object of numbers, each checked by its spec component."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"expected an object of parameter values, got {type(doc).__name__}")
     known = {f.name for f in dc_fields(FreeParameters)}
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown parameter names: {sorted(unknown)}")
-    return FreeParameters(**{k: float(v) for k, v in doc.items()})
+    for name, value in doc.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ValueError(f"{name}: expected a number, got {value!r}")
+    params = FreeParameters(**{k: float(v) for k, v in doc.items()})
+    params.apply(ScenarioSpec(id="S4"))  # S4 takes all three intervention levers
+    return params
 
 
 #: Search bounds per parameter; sign constraints are baked into the ranges.
@@ -198,6 +213,13 @@ def weighted_error(simulated: Mapping[str, float], targets: CalibrationTargets,
     return total
 
 
+def _within_tolerance(simulated: Mapping[str, float],
+                      targets: CalibrationTargets) -> dict[str, bool]:
+    """Whether each simulated value lies within its target's tolerance."""
+    return {name: abs(value - getattr(targets, name)) <= targets.tolerance_for(name)
+            for name, value in simulated.items()}
+
+
 def evaluate_targets(params: FreeParameters, target_names: Sequence[str],
                      n_realisations: int, n_agents: int = 300, horizon: int = 12,
                      base_seed: int = DEFAULT_BASE_SEED, workers: int | WorkerPool = 1,
@@ -221,18 +243,6 @@ def evaluate_targets(params: FreeParameters, target_names: Sequence[str],
             value = getattr(point, TARGET_SPECS[name][1])
             simulated[name] = float(value) if value is not None else 0.0
     return simulated
-
-
-def score(params: FreeParameters, targets: CalibrationTargets,
-          target_names: Sequence[str] | None = None, n_realisations: int = 100,
-          n_agents: int = 300, horizon: int = 12,
-          weights: Mapping[str, float] | None = None,
-          base_seed: int = DEFAULT_BASE_SEED, workers: int | WorkerPool = 1) -> float:
-    """Full objective: simulate, then weighted absolute error. Zero is perfect."""
-    names = tuple(target_names) if target_names is not None else tuple(TARGET_SPECS)
-    simulated = evaluate_targets(params, names, n_realisations, n_agents, horizon,
-                                 base_seed=base_seed, workers=workers)
-    return weighted_error(simulated, targets, weights)
 
 
 @dataclass(frozen=True)
@@ -262,19 +272,6 @@ def residual_csv_rows(result: CalibrationResult, targets: CalibrationTargets) ->
     return rows
 
 
-class _Budget:
-    def __init__(self, total: int):
-        self.left = total
-        self.used = 0
-
-    def take(self) -> bool:
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        self.used += 1
-        return True
-
-
 def latin_hypercube(d: int, n: int, rng_seed: int) -> np.ndarray:
     """``n`` points of a scrambled Latin hypercube in [0, 1)^d, one per row.
 
@@ -292,51 +289,41 @@ def latin_hypercube(d: int, n: int, rng_seed: int) -> np.ndarray:
 
 
 def _search_block(initial: FreeParameters, names: Sequence[str],
-                  bounds: Mapping[str, tuple[float, float]], targets: CalibrationTargets,
-                  target_names: Sequence[str], weights: Mapping[str, float],
-                  budget: _Budget, rng_seed: int, stage1_realisations: int,
-                  full_realisations: int, n_agents: int, horizon: int, base_seed: int,
-                  workers: WorkerPool) -> tuple[FreeParameters, float, float]:
-    """Two-stage search over ``names``; returns (best, stage1_score, final_score).
+                  bounds: Mapping[str, tuple[float, float]],
+                  fit: Callable[[FreeParameters, bool], tuple[float, float]], allowance: int,
+                  rng_seed: int) -> tuple[FreeParameters, float, int]:
+    """Two-stage search over ``names`` in at most ``allowance`` (>= 1) fits.
 
-    Candidates rank by the weighted count of targets outside their tolerance,
-    then by weighted error, so no move trades a target out of tolerance for a
-    smaller error elsewhere.  The returned scores are the weighted errors.
+    ``fit(params, full)`` scores a point on the block's targets, at stage-1
+    ensemble size or, with ``full`` true, at full size, as (weighted count of
+    targets outside their tolerance, weighted error).  Candidates rank by that
+    pair, so no move trades a target out of tolerance for a smaller error
+    elsewhere.  Returns the best point, the weighted error of the best stage-1
+    point and the number of fits used.
     """
-
-    def objective(p: FreeParameters, n_real: int) -> tuple[float, float]:
-        simulated = evaluate_targets(p, target_names, n_real, n_agents, horizon,
-                                     base_seed=base_seed, workers=workers)
-        misses = sum(weights.get(name, 1.0) for name, value in simulated.items()
-                     if abs(value - getattr(targets, name)) > targets.tolerance_for(name))
-        return misses, weighted_error(simulated, targets, weights)
-
     # Stage 1: incumbent first, then a Latin hypercube over the block bounds.
     # The hypercube leaves stage 2 its rescore plus one full +/- descent pass.
-    if not budget.take():
-        return initial, float("inf"), float("inf")
-    best = initial
-    best_score = objective(initial, stage1_realisations)
-    if names and budget.left > 0:
-        n_points = budget.left - (1 + 2 * len(names))
-        if n_points > 0:
-            lo = np.array([bounds[n][0] for n in names])
-            hi = np.array([bounds[n][1] for n in names])
-            for row in latin_hypercube(len(names), n_points, rng_seed) * (hi - lo) + lo:
-                if not budget.take():
-                    break
-                candidate = replace(initial, **{n: float(v) for n, v in zip(names, row)})
-                s = objective(candidate, stage1_realisations)
-                if s < best_score:
-                    best, best_score = candidate, s
+    best, best_score = initial, fit(initial, False)
+    used = 1
+    n_points = allowance - used - (1 + 2 * len(names))
+    if names and n_points > 0:
+        lo = np.array([bounds[n][0] for n in names])
+        hi = np.array([bounds[n][1] for n in names])
+        for row in latin_hypercube(len(names), n_points, rng_seed) * (hi - lo) + lo:
+            candidate = replace(initial, **{n: float(v) for n, v in zip(names, row)})
+            s = fit(candidate, False)
+            if s < best_score:
+                best, best_score = candidate, s
+        used += n_points
     stage1_score = best_score[1]
+    if used == allowance:
+        return best, stage1_score, used
 
     # Stage 2: rescore at full ensemble size, then coordinate descent.
-    if not budget.take():
-        return best, stage1_score, stage1_score
-    final_score = objective(best, full_realisations)
+    best_score = fit(best, True)
+    used += 1
     steps = {n: 0.25 * (bounds[n][1] - bounds[n][0]) for n in names}
-    while budget.left > 0 and names and max(steps.values()) > 1e-4:
+    while used < allowance and names and max(steps.values()) > 1e-4:
         improved = False
         for name in names:
             for direction in (1.0, -1.0):
@@ -344,18 +331,19 @@ def _search_block(initial: FreeParameters, names: Sequence[str],
                 value = min(bounds[name][1], max(bounds[name][0], value))
                 if value == getattr(best, name):
                     continue
-                if not budget.take():
-                    return best, stage1_score, final_score[1]
+                if used == allowance:
+                    return best, stage1_score, used
                 candidate = replace(best, **{name: value})
-                s = objective(candidate, full_realisations)
-                if s < final_score:
-                    best, final_score = candidate, s
+                s = fit(candidate, True)
+                used += 1
+                if s < best_score:
+                    best, best_score = candidate, s
                     improved = True
                     break
         if not improved:
             for name in steps:
                 steps[name] *= 0.5
-    return best, stage1_score, final_score[1]
+    return best, stage1_score, used
 
 
 def calibrate(targets: CalibrationTargets = CalibrationTargets(),
@@ -390,36 +378,39 @@ def calibrate(targets: CalibrationTargets = CalibrationTargets(),
     params = initial if initial is not None else FreeParameters()
     pinned = {name: lo for name, (lo, hi) in all_bounds.items() if lo == hi}
     params = replace(params, **pinned)
-    core_params = tuple(p for p in CORE_PARAMS if p not in pinned)
-    itv_params = tuple(p for p in INTERVENTION_PARAMS if p not in pinned)
     names = tuple(target_names) if target_names is not None else tuple(TARGET_SPECS)
     weights = default_weights(names)
-    tracker = _Budget(budget)
+    # (searched parameters, targets, hypercube seed) of each block with targets.
+    table = ((CORE_PARAMS, CORE_TARGETS, seed),
+             (INTERVENTION_PARAMS, INTERVENTION_TARGETS, seed + 1))
+    blocks = []
+    for block_params, block_targets, block_seed in table:
+        wanted = tuple(t for t in names if t in block_targets)
+        if wanted:
+            blocks.append((tuple(p for p in block_params if p not in pinned), wanted, block_seed))
 
-    core_names = tuple(t for t in names if t in set(CORE_TARGETS))
-    itv_names = tuple(t for t in names if t in set(INTERVENTION_TARGETS))
-
+    used = 0
+    stage1_best = float("inf")
     # Every evaluation's ensemble runs in one pool.
     with worker_pool(workers) as pool:
-        stage1_best = float("inf")
-        if core_names:
-            core_budget = tracker.left if not itv_names else max(1, int(tracker.left * 0.7))
-            core_tracker = _Budget(min(core_budget, tracker.left))
-            params, s1, _ = _search_block(
-                params, core_params, all_bounds,
-                targets, core_names, weights, core_tracker, seed,
-                stage1_realisations, full_realisations, n_agents, horizon, base_seed, pool)
-            tracker.left -= core_tracker.used
-            tracker.used += core_tracker.used
-            stage1_best = min(stage1_best, s1)
-        if itv_names and tracker.left > 0:
-            itv_tracker = _Budget(tracker.left)
-            params, s1, _ = _search_block(
-                params, itv_params, all_bounds,
-                targets, itv_names, weights, itv_tracker, seed + 1,
-                stage1_realisations, full_realisations, n_agents, horizon, base_seed, pool)
-            tracker.left -= itv_tracker.used
-            tracker.used += itv_tracker.used
+        for k, (block_params, block_targets, block_seed) in enumerate(blocks):
+            left = budget - used
+            if left == 0:
+                break
+            # Every block but the last leaves 30% of what is left to the blocks after it.
+            allowance = max(1, int(left * 0.7)) if k + 1 < len(blocks) else left
+
+            def fit(p: FreeParameters, full: bool) -> tuple[float, float]:
+                simulated = evaluate_targets(
+                    p, block_targets, full_realisations if full else stage1_realisations,
+                    n_agents, horizon, base_seed=base_seed, workers=pool)
+                misses = sum(weights[name] for name, ok in
+                             _within_tolerance(simulated, targets).items() if not ok)
+                return misses, weighted_error(simulated, targets, weights)
+
+            params, s1, n = _search_block(params, block_params, all_bounds, fit, allowance,
+                                          block_seed)
+            used += n
             stage1_best = min(stage1_best, s1)
 
         # Final report: rescore the returned point on every requested target, at
@@ -428,18 +419,16 @@ def calibrate(targets: CalibrationTargets = CalibrationTargets(),
         simulated = evaluate_targets(params, names, report_realisations, n_agents,
                                      horizon, base_seed=base_seed, workers=pool)
     final_score = weighted_error(simulated, targets, weights)
-    residuals = {name: simulated[name] - getattr(targets, name) for name in simulated}
-    within = {name: abs(residuals[name]) <= targets.tolerance_for(name) for name in residuals}
-    passed = all(within.values())
+    within = _within_tolerance(simulated, targets)
     return CalibrationResult(
         params=params,
         simulated=simulated,
-        residuals=residuals,
+        residuals={name: simulated[name] - getattr(targets, name) for name in simulated},
         within_tolerance=within,
-        passed=passed,
+        passed=all(within.values()),
         final_score=final_score,
-        stage1_best_score=stage1_best if stage1_best != float("inf") else final_score,
-        evaluations_used=tracker.used,
+        stage1_best_score=stage1_best,
+        evaluations_used=used,
         budget=budget,
         seed=seed,
     )

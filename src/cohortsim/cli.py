@@ -132,7 +132,7 @@ def _apply_overrides(doc: dict, overrides: Sequence[str], root: str) -> dict:
 def _load_free_parameters(params_path: str) -> FreeParameters:
     try:
         return params_from_dict(_load_json(params_path))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CliInputError(f"{params_path}: {exc}") from None
 
 
@@ -422,14 +422,14 @@ def _cmd_sensitivity(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _worker_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
-        workers = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
-    return workers
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -439,7 +439,7 @@ def _build_parser() -> _Parser:
 
     def add_common(p, seed=True):
         p.add_argument("--out", default="out", help="output directory (created if absent)")
-        p.add_argument("--workers", type=_worker_count, default=1,
+        p.add_argument("--workers", type=_positive_int, default=1,
                        help="parallel workers; results are identical for any value")
         if seed:
             p.add_argument("--seed", type=int, default=None, help="override the base seed")
@@ -473,10 +473,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("calibrate", help="search free parameters against published targets")
     p.add_argument("--targets", help="JSON file overriding default target values")
-    p.add_argument("--budget", type=int, default=60, help="objective evaluation budget")
-    p.add_argument("--stage1-realisations", type=int, default=30)
-    p.add_argument("--full-realisations", type=int, default=100)
-    p.add_argument("--n-agents", type=int, default=300)
+    p.add_argument("--budget", type=_positive_int, default=60, help="objective evaluation budget")
+    p.add_argument("--stage1-realisations", type=_positive_int, default=30)
+    p.add_argument("--full-realisations", type=_positive_int, default=100)
+    p.add_argument("--n-agents", type=_positive_int, default=300)
     add_common(p)
     p.set_defaults(func=_cmd_calibrate)
 

@@ -125,9 +125,6 @@ class CurriculumGraph:
         except KeyError:
             raise CurriculumError(f"unknown course {course_id!r}") from None
 
-    def in_degree(self, course_id: str) -> int:
-        return len(self.course(course_id).prerequisites)
-
     def by_cycle(self, cycle: Cycle) -> tuple[Course, ...]:
         return tuple(c for c in self.courses if c.cycle == cycle)
 

@@ -119,8 +119,6 @@ class RunMetrics:
     tercile_breakdown: dict[str, float | None]
     hazard_curve: tuple[float, ...]
     d_total_by_realisation: tuple[float, ...]
-    d_early_by_realisation: tuple[float, ...]
-    d_late_by_realisation: tuple[float, ...]
     dropouts_by_semester: tuple[tuple[int, ...], ...]
     at_risk_by_semester: tuple[tuple[int, ...], ...]
 
@@ -176,10 +174,6 @@ def aggregate_stats(stats: Sequence[RealisationStats], horizon: int,
         drop = sum(s.tercile_dropouts[t.value] for s in stats)
         tercile_breakdown[t.value] = (drop / size) if size else None
 
-    pooled_drop = dropouts.sum(axis=0)
-    pooled_risk = at_risk.sum(axis=0)
-    hazard = tuple(float(d / a) if a > 0 else 0.0 for d, a in zip(pooled_drop, pooled_risk))
-
     return RunMetrics(
         n_realisations=r,
         n_agents=n_agents,
@@ -195,10 +189,8 @@ def aggregate_stats(stats: Sequence[RealisationStats], horizon: int,
         mean_time_to_dropout=point.mean_time_to_dropout,
         cause_shares=cause_shares,
         tercile_breakdown=tercile_breakdown,
-        hazard_curve=hazard,
+        hazard_curve=hazard_curve(dropouts.sum(axis=0).tolist(), at_risk.sum(axis=0).tolist()),
         d_total_by_realisation=tuple(float(x) for x in d_total),
-        d_early_by_realisation=tuple(float(x) for x in d_early),
-        d_late_by_realisation=tuple(float(x) for x in d_late),
         dropouts_by_semester=tuple(s.dropouts_by_semester for s in stats),
         at_risk_by_semester=tuple(s.at_risk_by_semester for s in stats),
     )
@@ -245,7 +237,7 @@ def amplification_ci(both: Sequence[float], inf_only: Sequence[float],
         return point, (point, point)
     idx = np.random.default_rng(seed).integers(0, r, size=(resamples, r))
     b, i, s, o = (a[idx].mean(axis=1) for a in arrays)
-    lo, hi = np.percentile((b - i) - (s - o), [2.5, 97.5])
+    lo, hi = np.percentile(amplification(b, i, s, o), [2.5, 97.5])
     return point, (float(lo), float(hi))
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from cohortsim.calibration import (
-    CORE_PARAMS, CORE_TARGETS, INTERVENTION_PARAMS, INTERVENTION_TARGETS,
+    CORE_PARAMS, CORE_TARGETS, DEFAULT_BOUNDS, INTERVENTION_PARAMS, INTERVENTION_TARGETS,
     CalibrationTargets, FreeParameters, TTD_SCALE, calibrate, default_weights,
-    evaluate_targets, latin_hypercube, params_from_dict, residual_csv_rows, score,
-    weighted_error,
+    evaluate_targets, latin_hypercube, params_from_dict, residual_csv_rows, weighted_error,
+    _search_block,
 )
 from cohortsim.engine import InterventionModifiers
 from cohortsim.scenario import ScenarioSpec, builtin_scenario
@@ -58,16 +58,14 @@ class TestScore:
         params = FreeParameters()
         sim = measured(params, ("s0_total",))
         targets = CalibrationTargets(s0_total=sim["s0_total"])
-        value = score(params, targets, target_names=("s0_total",),
-                      n_realisations=2, **TINY)
+        value = weighted_error(measured(params, ("s0_total",)), targets)
         assert value == 0.0
 
     def test_positive_when_off_target(self):
         params = FreeParameters()
         sim = measured(params, ("s0_total",))
         targets = CalibrationTargets(s0_total=min(1.0, sim["s0_total"] + 0.05))
-        value = score(params, targets, target_names=("s0_total",),
-                      n_realisations=2, **TINY)
+        value = weighted_error(measured(params, ("s0_total",)), targets)
         assert value == pytest.approx(0.10, abs=1e-9)  # weight 2 on the baseline
 
 
@@ -82,6 +80,26 @@ class TestBlocks:
         assert CORE_TARGETS == ("s0_total", "s0_early", "s0_late_conditional", "s0_median_ttd",
                                 "s5_total", "s6_total", "s6_early", "s7_total")
         assert INTERVENTION_TARGETS == ("s1_total", "s2_total", "s3_total", "s4_total")
+
+
+class TestSearchBlock:
+    @pytest.mark.parametrize("allowance", [1, 2, 5, 30])
+    def test_counts_its_fits_and_keeps_the_best(self, allowance):
+        calls = []  # (full, error) per fit
+
+        def fit(params, full):
+            error = abs(params.beta0 + 2.0) + abs(params.beta1 - 1.0)
+            calls.append((full, error))
+            return 0.0, error
+
+        best, stage1, used = _search_block(FreeParameters(), ("beta0", "beta1"),
+                                           DEFAULT_BOUNDS, fit, allowance, rng_seed=0)
+        assert used == len(calls) <= allowance
+        assert stage1 == min(error for full, error in calls if not full)
+        full_errors = [error for full, error in calls if full]
+        assert bool(full_errors) == (allowance > 1)
+        if full_errors:  # the descent never moves to a worse point
+            assert fit(best, True)[1] == min(full_errors)
 
 
 class TestCalibrate:

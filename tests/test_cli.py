@@ -432,6 +432,17 @@ class TestCalibrateCommand:
         assert simulated[0] != simulated[1]
 
 
+    @pytest.mark.parametrize("option, value", [("--budget", "0"), ("--n-agents", "0"),
+                                               ("--stage1-realisations", "0"),
+                                               ("--full-realisations", "-1")])
+    def test_count_below_one_exits_one_before_any_artifact(self, tmp_path, capsys, option,
+                                                           value):
+        out = tmp_path / "cal"
+        assert run_cli("calibrate", option, value, "--out", out) == 1
+        assert f"argument {option}: must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestParamsFile:
     def test_frozen_parameters_consumed_by_run(self, tmp_path):
         params_path = tmp_path / "params.json"
@@ -461,6 +472,24 @@ class TestParamsFile:
         assert run_cli("run", "--scenario", "S0", "--out", tmp_path / "x",
                        "--params", params_path, *TINY) == 1
         assert "beta9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("doc, named", [
+        ({"beta0": None}, "beta0"), ({"beta0": "abc"}, "beta0"), ({"beta0": True}, "beta0"),
+        ({"beta0": float("nan")}, "beta0"), ({"beta1": -1}, "beta1"),
+        ({"rho_floor": 5}, "rho_floor"),
+        ({"financial_support_boost": -1}, "financial_support_boost"),
+        ([1, 2], "expected an object")])
+    def test_bad_parameter_file_exits_one_before_any_artifact(self, tmp_path, capsys, command,
+                                                              doc, named):
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps(doc))
+        argv = [command, "--scenario", "S0"] if command == "run" else [command]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--params", params_path, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert str(params_path) in err and named in err
+        assert not out.exists()
 
 
 class TestCohortExport:
