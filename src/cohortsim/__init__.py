@@ -19,7 +19,7 @@ from .population import (
 from .engine import (
     AgentBatch, DecisionCoefficients, InterventionModifiers, ResilienceDynamics,
     ShockConfig, TrajectoryLog, advance_semester, inflation_depletion_factor,
-    run_blocks, run_realisation, strike_friction_multiplier,
+    run_blocks, run_realisation, strike_multipliers,
 )
 from .metrics import (
     HazardExcess, RunMetrics, SweepCell, SweepResult, amplification,

@@ -63,6 +63,8 @@ class CalibrationTargets:
     tolerance_ttd: float = 0.5  # semesters, for the median time-to-dropout
 
     def __post_init__(self) -> None:
+        for f in dc_fields(self):
+            _check_number(f.name, getattr(self, f.name))
         if self.tolerance_pp <= 0 or self.tolerance_ttd <= 0:
             raise ValueError("tolerances must be positive")
         for name in TARGET_SPECS:
@@ -146,19 +148,32 @@ class FreeParameters:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
 
+def _check_number(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+
+
+def _numbers_from_dict(cls, doc: Mapping[str, float], what: str) -> dict[str, float]:
+    """The fields of ``cls`` a JSON object sets, each a finite number, as floats."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"expected an object of {what} values, got {type(doc).__name__}")
+    unknown = set(doc) - {f.name for f in dc_fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} names: {sorted(unknown)}")
+    for name, value in doc.items():
+        _check_number(name, value)
+    return {k: float(v) for k, v in doc.items()}
+
+
+def targets_from_dict(doc: Mapping[str, float]) -> CalibrationTargets:
+    """Calibration targets from a JSON object of numbers; unset targets keep their defaults."""
+    return CalibrationTargets(**_numbers_from_dict(CalibrationTargets, doc, "target"))
+
+
 def params_from_dict(doc: Mapping[str, float]) -> FreeParameters:
     """Free parameters from a JSON object of numbers, each checked by its spec component."""
-    if not isinstance(doc, Mapping):
-        raise ValueError(f"expected an object of parameter values, got {type(doc).__name__}")
-    known = {f.name for f in dc_fields(FreeParameters)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ValueError(f"unknown parameter names: {sorted(unknown)}")
-    for name, value in doc.items():
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
-            raise ValueError(f"{name}: expected a number, got {value!r}")
-    params = FreeParameters(**{k: float(v) for k, v in doc.items()})
+    params = FreeParameters(**_numbers_from_dict(FreeParameters, doc, "parameter"))
     params.apply(ScenarioSpec(id="S4"))  # S4 takes all three intervention levers
     return params
 
@@ -379,6 +394,11 @@ def calibrate(targets: CalibrationTargets = CalibrationTargets(),
     pinned = {name: lo for name, (lo, hi) in all_bounds.items() if lo == hi}
     params = replace(params, **pinned)
     names = tuple(target_names) if target_names is not None else tuple(TARGET_SPECS)
+    if not names:
+        raise ValueError("target_names is empty: name at least one target")
+    unknown = [name for name in names if name not in TARGET_SPECS]
+    if unknown:
+        raise ValueError(f"unknown target names: {unknown}")
     weights = default_weights(names)
     # (searched parameters, targets, hypercube seed) of each block with targets.
     table = ((CORE_PARAMS, CORE_TARGETS, seed),

@@ -23,8 +23,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .calibration import (
-    CalibrationTargets, FreeParameters, RESIDUAL_CSV_HEADER, calibrate,
-    params_from_dict, residual_csv_rows,
+    FreeParameters, RESIDUAL_CSV_HEADER, calibrate, params_from_dict, residual_csv_rows,
+    targets_from_dict,
 )
 from .curriculum import (
     CurriculumError, curriculum_from_dict, default_curriculum, ifc_table_rows,
@@ -276,16 +276,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    targets_kwargs = {}
-    if args.targets:
-        doc = _load_json(args.targets)
-        if not isinstance(doc, dict):
-            raise CliInputError(f"{args.targets}: expected an object of target values")
-        targets_kwargs = doc
     try:
-        targets = CalibrationTargets(**targets_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise CliInputError(f"targets: {exc}") from None
+        targets = targets_from_dict(_load_json(args.targets) if args.targets else {})
+    except ValueError as exc:
+        raise CliInputError(f"{args.targets}: {exc}") from None
     out = _out_dir(args)
     base_seed = DEFAULT_BASE_SEED if args.seed is None else args.seed
     result = calibrate(targets, budget=args.budget, seed=args.seed or 0,

@@ -34,7 +34,9 @@ per semester -- ``course_load`` uniforms, ``course_load`` grade deviates and
 one hazard uniform per agent, used or not -- so its results depend neither on
 outcomes, shock intensity and worker scheduling nor on its batch companions.
 That makes runs bit-reproducible and gives common random numbers across the
-scenarios of a contrast."""
+scenarios of a contrast.  Grades add up slot by slot in attempt order, and
+continuation probabilities near a threshold are recomputed with ``math.exp``
+(:data:`EXIT_GUARD`): every exit decision is ``math.exp``'s on any platform."""
 
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .curriculum import (
-    Course, CurriculumGraph, Cycle, apply_curriculum_redesign, default_curriculum,
+    CurriculumGraph, Cycle, apply_curriculum_redesign, default_curriculum,
 )
 from .population import (
     ACADEMIC, ACTIVE, DROPOUT, EXTERNAL, GRADUATED, NO_CAUSE, RESILIENCE_DEPLETION, STATUSES,
@@ -203,18 +205,14 @@ class TrajectoryLog:
         return len(self.status)
 
 
-def strike_friction_multiplier(config: ShockConfig, course: Course, semester: int) -> float:
-    """Failure-probability multiplier for one course in one semester.
+def strike_multipliers(config: ShockConfig, horizon: int) -> np.ndarray:
+    """Failure-probability multiplier of basic-cycle courses in semesters 1 to ``horizon``.
 
-    Strikes disrupt the foundational cycle only: advanced-cycle courses always
-    return 1.0.  The semester's multiplier comes from ``strike_schedule`` when
-    present, else ``lambda_str``.
+    Strikes disrupt the foundational cycle only (see :func:`failure_table`).
+    Semester ``t``'s lambda is ``strike_schedule[t]`` if listed, else ``lambda_str``.
     """
-    if course.cycle is not Cycle.BASIC:
-        return 1.0
-    lam = config.lambda_str
-    if config.strike_schedule is not None:
-        lam = config.strike_schedule.get(semester, lam)
+    schedule = config.strike_schedule or {}
+    lam = np.array([schedule.get(t, config.lambda_str) for t in range(1, horizon + 1)])
     if config.shock_form == PAPER_LITERAL:
         return 1.0 + config.alpha_str_literal * lam
     return 1.0 + config.alpha_str_eff * (lam - 1.0)
@@ -227,15 +225,6 @@ def inflation_depletion_factor(config: ShockConfig) -> float:
     else:
         factor = 1.0 - config.delta_inf_eff * (config.lambda_inf - 1.0)
     return min(1.0, max(0.0, factor))
-
-
-def fail_probability(course: Course, config: ShockConfig, modifiers: InterventionModifiers,
-                     semester: int) -> float:
-    """Effective per-attempt failure probability, capped at 0.95."""
-    p = (course.base_fail_rate
-         * strike_friction_multiplier(config, course, semester)
-         * modifiers.academic_support_factor)
-    return min(MAX_FAIL_PROBABILITY, max(0.0, p))
 
 
 class AgentBatch:
@@ -262,21 +251,17 @@ class AgentBatch:
         self.grade_points, self.gpa = np.zeros((2, rows))
         self.status = np.full(rows, ACTIVE, np.int8)
         self.cause = np.full(rows, NO_CAUSE, np.int8)
-        # each course's bit within its word; the empty slot -1 has none
-        self.bit = np.array([1 << c % 64 for c in range(len(graph))] + [0], np.uint64)
-        # each course's prerequisites as an int mask and a (words, 1) column; an
-        # unknown id stands for the course itself, a prerequisite never met
+        # bit[w, c]: course c's bit in word w, else 0; the empty slot -1 has none
+        courses = np.arange(len(graph))
+        self.bit = np.zeros((words, len(graph) + 1), np.uint64)
+        self.bit[courses // 64, courses] = np.uint64(1) << (courses % 64).astype(np.uint64)
+        # requires[:, c]: course c's prerequisites as a mask; an unknown id
+        # stands for the course itself, a prerequisite never met
         index = {course.id: c for c, course in enumerate(graph.courses)}
-        self.needs: list[tuple[int, np.ndarray]] = []
+        self.requires = np.zeros((words, len(graph)), np.uint64)
         for c, course in enumerate(graph.courses):
-            mask = sum({1 << index.get(p, c) for p in course.prerequisites})
-            self.needs.append((mask, np.array(
-                [[mask >> 64 * w & (1 << 64) - 1] for w in range(words)], np.uint64)))
-
-
-def _union(masks: np.ndarray, reduce=np.bitwise_or) -> int:
-    """``reduce`` over the rows of ``(words, rows)`` masks, as one int."""
-    return sum(int(x) << 64 * w for w, x in enumerate(reduce.reduce(masks, axis=1).tolist()))
+            for p in course.prerequisites:
+                self.requires[:, c] |= self.bit[:, index.get(p, c)]
 
 
 def select_courses(state: AgentBatch, rows: np.ndarray, course_load: int) -> np.ndarray:
@@ -287,30 +272,31 @@ def select_courses(state: AgentBatch, rows: np.ndarray, course_load: int) -> np.
     eligible courses in (scheduled semester, id) order -- the order of
     ``graph.courses`` -- up to ``course_load``.  Unused slots hold -1.
     """
-    passed = state.passed[:, rows]
-    failed = state.failed[:, rows]
-    slots = np.full((len(rows), course_load), -1, np.intp)
-    count = np.zeros(len(rows), np.intp)
-
-    def take(c: int, eligible: np.ndarray) -> None:
-        pick = np.flatnonzero(eligible & (count < course_load))
-        slots[pick, count[pick]] = c
-        count[pick] += 1
-
-    pending = failed & ~passed
-    any_pending = _union(pending)
-    for c in range(len(state.graph)):
-        if any_pending >> c & 1:
-            take(c, (pending[c // 64] & state.bit[c]) != 0)
+    passed, failed = state.passed[:, rows], state.failed[:, rows]
     taken = passed | failed
-    # skip courses nobody can take: taken by all, or a prerequisite passed by none
-    everyone_took = _union(taken, np.bitwise_and)
-    anyone_passed = _union(passed)
-    for c, (mask, column) in enumerate(state.needs):
-        if everyone_took >> c & 1 or mask & ~anyone_passed:
-            continue
-        take(c, ((taken[c // 64] & state.bit[c]) == 0) & ((passed & column) == column).all(axis=0))
-    return slots
+    bit, requires = state.bit[:, :-1], state.requires
+    # only courses somebody may take: not taken by all, each prerequisite passed by someone
+    anyone_passed = np.bitwise_or.reduce(passed, axis=1)[:, None]
+    everyone_took = np.bitwise_and.reduce(taken, axis=1)[:, None]
+    reachable = np.flatnonzero(~((requires & ~anyone_passed) | (bit & everyone_took)).any(axis=0))
+    met = ((requires[:, reachable, None] & ~passed[:, None, :]) == 0).all(axis=0)
+    fresh = np.bitwise_or.reduce(bit[:, reachable, None] * met, axis=1) & ~taken
+    # each row's candidates as mask words, retries before fresh courses; slot
+    # j takes the lowest bit of the row's first word with a bit left
+    candidates = np.concatenate([failed & ~passed, fresh])
+    offset = (np.arange(len(candidates)) % len(passed) * 64)[:, None]
+    slots = np.full((course_load, len(rows)), -1, np.intp)
+    for j in range(course_load):
+        first = candidates != 0
+        for k in range(1, len(first)):
+            first[k:] &= ~first[k - 1]
+        low = candidates & -candidates * first  # lowest bit of each row's first word
+        if not low.any():
+            break
+        candidates ^= low
+        # frexp(2.0 ** k) has exponent k + 1 exactly, frexp(0) 0: slot -1 if none left
+        slots[j] = (np.frexp(low.astype(float))[1] + offset * first).sum(axis=0) - 1
+    return slots.T
 
 
 def grade_attempts(state: AgentBatch, rows: np.ndarray, slots: np.ndarray, u: np.ndarray,
@@ -321,51 +307,62 @@ def grade_attempts(state: AgentBatch, rows: np.ndarray, slots: np.ndarray, u: np
     column is the empty slot -1.  Slot ``j`` fails when
     ``u[:, j] < p[block, course]``; a pass is graded
     N(4 + 0.6 * secondary GPA, 1) clipped to [4, 10] with deviate ``z[:, j]``,
-    a failure 2.  Slots are applied column by column, so grade points add up
-    in attempt order; GPA is the running mean over all attempts.  Returns the
+    a failure 2.  Grade points are added slot by slot, so they round as in
+    attempt order; GPA is the running mean over all attempts.  Returns the
     ``slots``-shaped failure flags.
     """
-    secondary = state.secondary_gpa[rows]
-    # p[block, course] as one lookup in the flat table, several times faster;
-    # slot -1 lands on the previous block's (cyclically) empty slot, also 0
-    at = state.block[rows] * p.shape[1]
-    p = p.ravel()
+    # slot-major, (course_load, rows): sums over slots run along whole rows
+    slots, u, z = (np.ascontiguousarray(a.T) for a in (slots, u, z))
+    attempted = slots >= 0
+    # p[block, course] as one lookup in the flat table; slot -1 lands on the
+    # previous block's (cyclically) empty slot, also 0
+    fail = attempted & (u < p.ravel()[state.block[rows] * p.shape[1] + slots])
+    passing = attempted & ~fail
+    grade = np.clip(4.0 + 0.6 * state.secondary_gpa[rows] + z, 4.0, 10.0)
     points = state.grade_points[rows]
-    attempts = state.attempts[rows]
-    failed = np.zeros(slots.shape, bool)
-    for j in range(slots.shape[1]):
-        course = slots[:, j]
-        attempted = course >= 0
-        if not attempted.any():
-            break
-        failed[:, j] = fail = attempted & (u[:, j] < p[at + course])
-        passing = attempted & ~fail
-        grade = np.clip(4.0 + 0.6 * secondary + z[:, j], 4.0, 10.0)
-        points = points + np.where(fail, 2.0, np.where(passing, grade, 0.0))
-        attempts += attempted
-        state.n_passed[rows] += passing
-        word, bit = course // 64, state.bit[course]  # slot -1: last word, no bit
-        state.passed[word, rows] |= np.where(passing, bit, np.uint64(0))
-        state.failed[word, rows] |= np.where(fail, bit, np.uint64(0))
+    for gained in np.where(fail, 2.0, np.where(passing, grade, 0.0)):
+        points = points + gained
+    attempts = state.attempts[rows] + attempted.sum(axis=0)
     state.grade_points[rows] = points
     state.attempts[rows] = attempts
-    state.failures[rows] += failed.sum(axis=1)
+    state.n_passed[rows] += passing.sum(axis=0)
+    state.failures[rows] += fail.sum(axis=0)
+    bits = state.bit[:, slots]  # (words, course_load, rows); slot -1 has no bit
+    state.passed[:, rows] |= np.bitwise_or.reduce(bits * passing, axis=1)
+    state.failed[:, rows] |= np.bitwise_or.reduce(bits * fail, axis=1)
     state.gpa[rows] = np.divide(points, attempts, out=state.gpa[rows], where=attempts > 0)
-    return failed
+    return fail.T
+
+
+#: Continuation probabilities this close to a row's threshold are recomputed
+#: with ``math.exp``.  ``np.exp`` and ``math.exp`` differ by a few ulp at most,
+#: which moves a probability by under 1e-15.
+EXIT_GUARD = 1e-12
+
+
+def _sigmoid(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The logistic of ``x`` given ``e = exp(-|x|)``, in a form that never overflows."""
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def continuation_probabilities(state: AgentBatch, rows: np.ndarray,
                                coeffs: DecisionCoefficients) -> np.ndarray:
-    """Continuation probabilities of ``rows`` (see :class:`DecisionCoefficients`)."""
+    """Continuation probabilities of ``rows`` (see :class:`DecisionCoefficients`).
+
+    ``np.exp`` computes them, and ``math.exp`` those within :data:`EXIT_GUARD`
+    of the row's threshold: the exit decision (probability below threshold)
+    is the one ``math.exp`` gives, bit for bit, on any platform.
+    """
     progress = state.n_passed[rows] / len(state.graph)
     x = (coeffs.beta0
          + coeffs.beta1 * state.gpa[rows] / 10.0
          + coeffs.beta2 * progress
          + coeffs.beta3 * state.resilience[rows]
          + coeffs.beta4 * state.failures[rows])
-    # math.exp, not np.exp: the two differ in the last bit on some inputs
-    e = np.array([math.exp(v) for v in (-np.abs(x)).tolist()])
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    p = _sigmoid(x, np.exp(-np.abs(x)))
+    near = np.flatnonzero(np.abs(p - state.threshold[rows]) <= EXIT_GUARD)
+    p[near] = _sigmoid(x[near], np.array([math.exp(v) for v in (-np.abs(x[near])).tolist()]))
+    return p
 
 
 def advance_semester(state: AgentBatch, scenarios: Sequence["ScenarioSpec"], fail: np.ndarray,
@@ -441,14 +438,17 @@ def effective_graph(scenario: "ScenarioSpec") -> CurriculumGraph:
 def failure_table(scenario: "ScenarioSpec") -> np.ndarray:
     """Per-attempt failure probabilities of a scenario, ``(horizon, courses + 1)``.
 
-    Row ``t - 1`` holds semester ``t``: :func:`fail_probability` of each
-    course of the scenario's effective graph, in ``graph.courses`` order, and
-    0 for the empty slot -1 in the last column.
+    Row ``t - 1`` holds semester ``t``, a column per course of the effective
+    graph: its base failure rate, times semester ``t``'s :func:`strike_multipliers`
+    entry if it is a basic-cycle course, times the academic-support factor,
+    capped at :data:`MAX_FAIL_PROBABILITY`.  The last column, slot -1, is 0.
     """
-    graph, shock, modifiers = effective_graph(scenario), scenario.shock, scenario.interventions
-    table = [[fail_probability(c, shock, modifiers, t) for c in graph.courses] + [0.0]
-             for t in range(1, scenario.horizon + 1)]
-    return np.array(table).reshape(scenario.horizon, len(graph) + 1)
+    graph = effective_graph(scenario)
+    base = np.array([c.base_fail_rate for c in graph.courses] + [0.0])
+    basic = np.array([c.cycle is Cycle.BASIC for c in graph.courses] + [False])
+    strike = np.where(basic, strike_multipliers(scenario.shock, scenario.horizon)[:, None], 1.0)
+    return np.clip(base * strike * scenario.interventions.academic_support_factor,
+                   0.0, MAX_FAIL_PROBABILITY)
 
 
 def _population(scenario: "ScenarioSpec"):

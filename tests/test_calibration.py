@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cohortsim import calibration
 from cohortsim.calibration import (
     CORE_PARAMS, CORE_TARGETS, DEFAULT_BOUNDS, INTERVENTION_PARAMS, INTERVENTION_TARGETS,
     CalibrationTargets, FreeParameters, TTD_SCALE, calibrate, default_weights,
-    evaluate_targets, latin_hypercube, params_from_dict, residual_csv_rows, weighted_error,
-    _search_block,
+    evaluate_targets, latin_hypercube, params_from_dict, residual_csv_rows, targets_from_dict,
+    weighted_error, _search_block,
 )
 from cohortsim.engine import InterventionModifiers
 from cohortsim.scenario import ScenarioSpec, builtin_scenario
@@ -158,6 +159,14 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate(CalibrationTargets(), budget=0)
 
+    @pytest.mark.parametrize("names, message", [
+        ((), "target_names is empty"), ([], "target_names is empty"),
+        (("s0_total", "s9_total"), r"unknown target names: \['s9_total'\]")])
+    def test_target_names_checked_before_any_evaluation(self, monkeypatch, names, message):
+        monkeypatch.setattr(calibration, "evaluate_targets", None)  # never reached
+        with pytest.raises(ValueError, match=message):
+            calibrate(CalibrationTargets(), budget=1, target_names=names)
+
 
 class TestFreeParameters:
     def test_round_trip(self):
@@ -217,6 +226,19 @@ class TestTargets:
             CalibrationTargets(s0_total=1.5)
         with pytest.raises(ValueError):
             CalibrationTargets(tolerance_pp=0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("s0_total", "abc"), ("s0_total", None), ("s0_median_ttd", "x"), ("s0_total", True),
+        ("s7_total", float("inf")), ("tolerance_ttd", float("nan"))])
+    def test_targets_must_be_finite_numbers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name}: expected a number"):
+            CalibrationTargets(**{name: value})
+
+    def test_targets_from_dict(self):
+        assert targets_from_dict({"s0_total": 0.4, "s0_median_ttd": 5}) == CalibrationTargets(
+            s0_total=0.4, s0_median_ttd=5.0)
+        with pytest.raises(ValueError, match="unknown target names"):
+            targets_from_dict({"s9_total": 0.3})
 
     def test_tolerance_units(self):
         targets = CalibrationTargets()

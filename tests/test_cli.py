@@ -442,6 +442,33 @@ class TestCalibrateCommand:
         assert f"argument {option}: must be >= 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc, named", [
+        ({"s0_total": "abc"}, "s0_total"), ({"s0_total": None}, "s0_total"),
+        ({"s0_median_ttd": "x"}, "s0_median_ttd"), ({"s0_total": True}, "s0_total"),
+        ({"s6_early": float("nan")}, "s6_early"), ({"s0_total": 1.5}, "s0_total"),
+        ({"tolerance_pp": "3"}, "tolerance_pp"), ({"s9_total": 0.3}, "s9_total"),
+        (None, "expected an object"), ([0.4], "expected an object")])
+    def test_bad_targets_file_exits_one_before_any_artifact(self, tmp_path, capsys, doc, named):
+        targets_path = tmp_path / "targets.json"
+        targets_path.write_text(json.dumps(doc))
+        out = tmp_path / "cal"
+        assert run_cli("calibrate", "--targets", targets_path, "--budget", "1",
+                       "--n-agents", "5", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert str(targets_path) in err and named in err
+        assert not out.exists()
+
+    def test_targets_file_sets_the_targets(self, tmp_path):
+        targets_path = tmp_path / "targets.json"
+        targets_path.write_text(json.dumps({"s0_total": 0.4, "s0_median_ttd": 5}))
+        out = tmp_path / "cal"
+        assert run_cli("calibrate", "--targets", targets_path, "--budget", "1",
+                       "--n-agents", "5", "--stage1-realisations", "2",
+                       "--full-realisations", "2", "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        targets = manifest["parameters"]["calibration"]["targets"]
+        assert targets["s0_total"] == 0.4 and targets["s0_median_ttd"] == 5.0
+
 
 class TestParamsFile:
     def test_frozen_parameters_consumed_by_run(self, tmp_path):

@@ -9,10 +9,9 @@ from cohortsim import scenario
 from cohortsim.curriculum import Course, CurriculumGraph, Cycle, default_curriculum
 from cohortsim.engine import (
     AgentBatch, DecisionCoefficients, InterventionModifiers, ResilienceDynamics, ShockConfig,
-    advance_semester, continuation_probabilities, effective_graph, fail_probability,
-    failure_table, grade_attempts, inflation_depletion_factor, realisation_cohort, run_blocks,
-    run_realisation, select_courses, strike_friction_multiplier, trajectory_csv_rows,
-    PAPER_LITERAL,
+    advance_semester, continuation_probabilities, effective_graph, failure_table, grade_attempts,
+    inflation_depletion_factor, realisation_cohort, run_blocks, run_realisation, select_courses,
+    strike_multipliers, trajectory_csv_rows, PAPER_LITERAL,
 )
 from cohortsim.population import (
     ACADEMIC, ACTIVE, DROPOUT, EXTERNAL, GRADUATED, NO_CAUSE, RESILIENCE_DEPLETION, STATUSES,
@@ -88,27 +87,47 @@ def outcomes(log):
                                  log.resilience, log.failures)]
 
 
+def table_entry(course, semester=1, **spec):
+    """``course``'s failure probability in ``semester``, read off :func:`failure_table`."""
+    scenario = ScenarioSpec(curriculum=CurriculumGraph([course]), horizon=max(semester, 1), **spec)
+    return failure_table(scenario)[semester - 1, 0]
+
+
 class TestStrikeFriction:
     def test_basic_course_doubling(self):
-        config = ShockConfig(lambda_str=2.0)
-        assert strike_friction_multiplier(config, basic_course(), 1) == pytest.approx(1.5)
+        assert strike_multipliers(ShockConfig(lambda_str=2.0), 1)[0] == pytest.approx(1.5)
+        assert table_entry(basic_course(fail=0.4), shock=ShockConfig(lambda_str=2.0)) == (
+            pytest.approx(0.6))
 
     def test_neutral_multiplier(self):
-        config = ShockConfig(lambda_str=1.0)
-        assert strike_friction_multiplier(config, basic_course(), 1) == 1.0
+        assert strike_multipliers(ShockConfig(lambda_str=1.0), 3).tolist() == [1.0] * 3
+        assert table_entry(basic_course(fail=0.4)) == 0.4
 
     def test_advanced_courses_unaffected(self):
         config = ShockConfig(lambda_str=2.5)
-        assert strike_friction_multiplier(config, advanced_course(), 1) == 1.0
+        assert table_entry(advanced_course(fail=0.2), shock=config) == 0.2
 
     def test_schedule_overrides_single_semester(self):
         config = ShockConfig(lambda_str=1.0, strike_schedule={1: 2.5})
-        assert strike_friction_multiplier(config, basic_course(), 1) == pytest.approx(1.75)
-        assert strike_friction_multiplier(config, basic_course(), 2) == 1.0
+        assert strike_multipliers(config, 2) == pytest.approx([1.75, 1.0])
+        assert table_entry(basic_course(fail=0.4), 2, shock=config) == 0.4
 
     def test_paper_literal_form_is_not_neutral(self):
         config = ShockConfig(lambda_str=1.0, shock_form=PAPER_LITERAL)
-        assert strike_friction_multiplier(config, basic_course(), 1) == pytest.approx(1.25)
+        assert strike_multipliers(config, 1)[0] == pytest.approx(1.25)
+
+    def test_table_entries_compose_rate_strike_and_support(self):
+        shock = ShockConfig(lambda_str=1.7, strike_schedule={2: 3.0, 4: 1.0})
+        interventions = InterventionModifiers(academic_support_factor=0.8)
+        spec = ScenarioSpec(horizon=5, shock=shock, interventions=interventions)
+        graph, table = effective_graph(spec), failure_table(spec)
+        assert table.shape == (5, len(graph) + 1) and (table[:, -1] == 0.0).all()
+        for t in range(1, 6):
+            lam = {2: 3.0, 4: 1.0}.get(t, 1.7)
+            for c, course in enumerate(graph.courses):
+                strike = 1.0 + 0.5 * (lam - 1.0) if course.cycle is Cycle.BASIC else 1.0
+                expected = min(0.95, max(0.0, course.base_fail_rate * strike * 0.8))
+                assert table[t - 1, c] == expected
 
     def test_multiplier_validation(self):
         with pytest.raises(ValueError):
@@ -138,14 +157,12 @@ class TestAttemptCourse:
                                 basic_course("gated", sem=2, prereqs=("b",))])
 
     def test_fail_probability_composition(self):
-        course = basic_course(fail=0.4)
-        p = fail_probability(course, ShockConfig(lambda_str=2.0), InterventionModifiers(), 1)
-        assert p == pytest.approx(0.6, abs=1e-12)
+        p = table_entry(basic_course(fail=0.4), shock=ShockConfig(lambda_str=2.0),
+                        interventions=InterventionModifiers(academic_support_factor=0.5))
+        assert p == (0.4 * 1.5) * 0.5
 
     def test_fail_probability_clipped(self):
-        course = basic_course(fail=0.8)
-        p = fail_probability(course, ShockConfig(lambda_str=2.0), InterventionModifiers(), 1)
-        assert p == 0.95
+        assert table_entry(basic_course(fail=0.8), shock=ShockConfig(lambda_str=2.0)) == 0.95
 
     def test_zero_fail_rate_always_passes(self):
         graph = CurriculumGraph([basic_course(fail=0.0)])
@@ -158,8 +175,8 @@ class TestAttemptCourse:
         assert all(course_ids(state, state.passed, row) == {"b"} for row in range(20))
 
     def test_support_factor_scales_probability(self):
-        course = basic_course(fail=0.4)
-        p = fail_probability(course, ShockConfig(), InterventionModifiers(academic_support_factor=0.5), 1)
+        p = table_entry(basic_course(fail=0.4),
+                        interventions=InterventionModifiers(academic_support_factor=0.5))
         assert p == pytest.approx(0.2)
 
     def test_gpa_running_mean_with_failures_as_two(self):
@@ -227,6 +244,33 @@ class TestContinuationProbability:
         assert p == pytest.approx(expected, abs=1e-12)
         assert p == pytest.approx(0.954, abs=1e-3)
 
+    def test_exit_decision_matches_math_exp_at_the_threshold(self):
+        # thresholds at the math.exp probability and one ulp either side: np.exp
+        # may differ from math.exp there, and the guard band must absorb it
+        rng = np.random.default_rng(3)
+        graph, n = self.graph(), 2000
+        state = AgentBatch([fresh_cohort(n=3 * n)], graph)
+        state.gpa[:n] = rng.uniform(2.0, 10.0, n)
+        state.resilience[:n] = rng.uniform(0.0, 1.0, n)
+        state.failures[:n] = rng.integers(0, 30, n)
+        state.n_passed[:n] = rng.integers(0, 41, n)
+        coeffs = DecisionCoefficients(-4.0, 3.0, 1.0, 3.0, -0.05)
+        names = ("gpa", "resilience", "failures", "n_passed")
+        expected = []
+        for gpa, rho, failures, n_passed in zip(*(getattr(state, a)[:n].tolist() for a in names)):
+            x = (coeffs.beta0 + coeffs.beta1 * gpa / 10.0 + coeffs.beta2 * (n_passed / len(graph))
+                 + coeffs.beta3 * rho + coeffs.beta4 * failures)
+            e = math.exp(-abs(x))
+            expected.append(1.0 / (1.0 + e) if x >= 0.0 else e / (1.0 + e))
+        expected = np.array(expected)
+        for name in names:
+            getattr(state, name)[n:] = np.tile(getattr(state, name)[:n], 2)
+        state.threshold[:] = np.concatenate([expected, np.nextafter(expected, 0.0),
+                                             np.nextafter(expected, 1.0)])
+        p = self.probability(state, coeffs)
+        assert ((p < state.threshold) == (np.tile(expected, 3) < state.threshold)).all()
+        assert (p[:n] == expected).all()
+
 
 class TestEnroll:
     def graph(self):
@@ -272,6 +316,84 @@ class TestEnroll:
         set_courses(state, row=1, passed=["m1"], failed=["m2"])
         assert picks(state, 3, row=0) == ["m1", "m2", "n2"]
         assert picks(state, 3, row=1) == ["m2", "n1", "n2"]
+
+
+def reference_kernels(graph, passed, failed, load, block, secondary, u, z, p, record):
+    """One row's course picks and graded attempts, course by course, on sets of indices.
+
+    ``record`` is the row's (grade points, attempts); returns the picks, the
+    failure flags and the updated passed set, failed set and record.
+    """
+    index = {course.id: c for c, course in enumerate(graph.courses)}
+    retries = [c for c in range(len(graph)) if c in failed and c not in passed]
+    fresh = [c for c, course in enumerate(graph.courses)
+             if c not in passed and c not in failed
+             and all(index.get(q) in passed for q in course.prerequisites)]
+    picks = (retries + fresh)[:load]
+    points, attempts = record
+    flags, passed, failed = [], set(passed), set(failed)
+    for j, c in enumerate(picks):
+        fail = u[j] < p[block, c]
+        points = points + (2.0 if fail else min(10.0, max(4.0, 4.0 + 0.6 * secondary + z[j])))
+        attempts += 1
+        flags.append(fail)
+        (failed if fail else passed).add(c)
+    return picks, flags, passed, failed, (points, attempts)
+
+
+class TestKernelsMatchReference:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_courses=st.sampled_from([1, 7, 40, 64, 80]),
+           course_load=st.integers(1, 10),
+           sizes=st.lists(st.integers(0, 6), min_size=1, max_size=3),
+           active=st.floats(0.0, 1.0), passed_share=st.floats(0.0, 1.0),
+           failed_share=st.floats(0.0, 0.5))
+    def test_select_and_grade_match_a_per_row_reference(self, seed, n_courses, course_load, sizes,
+                                                          active, passed_share, failed_share):
+        rng = np.random.default_rng(seed)
+        # prerequisites: earlier and later courses, the course itself, unknown ids
+        names = [f"c{i:02d}" for i in range(n_courses)] + ["ghost"]
+        courses = [basic_course(name, prereqs=rng.choice(names, rng.integers(0, 3)).tolist())
+                   for name in names[:-1]]
+        graph = CurriculumGraph(courses)
+        state = AgentBatch([fresh_cohort(n=size) for size in sizes], graph)
+        n = len(state.status)
+        state.secondary_gpa[:] = rng.uniform(0.0, 10.0, n)
+        state.attempts[:] = rng.integers(0, 3, n)
+        state.grade_points[:] = state.attempts * rng.uniform(2.0, 10.0, n)
+        state.gpa[:] = rng.uniform(0.0, 10.0, n)
+        sets = []
+        for row in range(n):
+            passed = {c for c in range(n_courses) if rng.random() < passed_share}
+            failed = {c for c in range(n_courses) if rng.random() < failed_share}  # some pending
+            set_courses(state, row, [names[c] for c in passed], [names[c] for c in failed])
+            sets.append((passed, failed))
+        before = [a.copy() for a in (state.grade_points, state.attempts, state.gpa,
+                                     state.n_passed, state.failures)]
+        rows = np.flatnonzero(rng.random(n) < active)  # possibly none
+        u, z = rng.random((len(rows), course_load)), rng.standard_normal((len(rows), course_load))
+        p = np.column_stack([rng.random((len(sizes), n_courses)), np.zeros(len(sizes))])
+
+        slots = select_courses(state, rows, course_load)
+        failed_flags = grade_attempts(state, rows, slots, u, z, p)
+        assert slots.shape == failed_flags.shape == (len(rows), course_load)
+        points, attempts, gpa, n_passed, failures = before
+        for i, row in enumerate(rows.tolist()):
+            picks, flags, passed, failed, (pts, att) = reference_kernels(
+                graph, *sets[row], course_load, state.block[row], state.secondary_gpa[row],
+                u[i].tolist(), z[i].tolist(), p, (points[row], attempts[row]))
+            pad = course_load - len(picks)
+            assert slots[i].tolist() == picks + [-1] * pad
+            assert failed_flags[i].tolist() == flags + [False] * pad
+            assert course_ids(state, state.passed, row) == {names[c] for c in passed}
+            assert course_ids(state, state.failed, row) == {names[c] for c in failed}
+            assert (state.grade_points[row], state.attempts[row]) == (pts, att)
+            assert state.gpa[row] == (pts / att if att else gpa[row])
+            assert state.n_passed[row] == n_passed[row] + flags.count(False)
+            assert state.failures[row] == failures[row] + flags.count(True)
+        idle = np.setdiff1d(np.arange(n), rows)
+        assert (state.attempts[idle] == attempts[idle]).all()
+        assert (state.grade_points[idle] == points[idle]).all()
 
 
 class TestStepSemester:
