@@ -18,7 +18,7 @@ from .population import (
 )
 from .engine import (
     AgentBatch, DecisionCoefficients, InterventionModifiers, ResilienceDynamics,
-    ShockConfig, TrajectoryLog, advance_semester, inflation_depletion_factor,
+    SemesterRecord, ShockConfig, TrajectoryLog, advance_semester, inflation_depletion_factor,
     run_blocks, run_realisation, strike_multipliers,
 )
 from .metrics import (

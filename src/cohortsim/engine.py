@@ -179,14 +179,33 @@ class InterventionModifiers:
 
 
 @dataclass(frozen=True, eq=False)
+class SemesterRecord:
+    """Every agent-semester of one realisation as equal-length arrays, ordered by (semester, agent).
+
+    Entry ``m``: agent ``agent[m]`` (its index in the cohort), active at the start
+    of semester ``semester[m]``; its ``status`` code, ``gpa`` and ``resilience`` at
+    that semester's end; in ``slots[m]`` the courses it attempted, in order, as
+    indices into ``course_ids`` (-1: empty slot), and in ``failed[m]`` the ones it failed.
+    """
+
+    semester: np.ndarray
+    agent: np.ndarray
+    status: np.ndarray
+    gpa: np.ndarray
+    resilience: np.ndarray
+    slots: np.ndarray  # (m, course_load)
+    failed: np.ndarray  # (m, course_load)
+    course_ids: tuple[str, ...]
+
+
+@dataclass(frozen=True, eq=False)
 class TrajectoryLog:
-    """One realisation: every agent's final state plus optional per-semester rows.
+    """One realisation: every agent's final state plus an optional per-semester record.
 
     The arrays hold one entry per agent.  ``status`` and ``cause`` are codes
     of :data:`~cohortsim.population.STATUSES` and ``CAUSES`` (cause -1: none);
     ``exit_semester`` is 0 while active; ``failures`` counts failed attempts.
-    ``semesters`` holds, per simulated semester, one row per agent active at
-    its start: (agent id, semester, status, gpa, rho, attempted, failed).
+    ``semesters`` is the :class:`SemesterRecord`; None with recording off or at horizon 0.
     """
 
     realisation_index: int
@@ -198,7 +217,7 @@ class TrajectoryLog:
     resilience: np.ndarray
     initial_resilience: np.ndarray
     failures: np.ndarray
-    semesters: tuple[tuple[tuple, ...], ...] = ()
+    semesters: SemesterRecord | None = None
 
     @property
     def n_agents(self) -> int:
@@ -244,7 +263,7 @@ class AgentBatch:
             np.concatenate([getattr(c, name) for c in cohorts])
             for name in ("secondary_gpa", "parental_education", "threshold", "resilience"))
         self.resilience = self.initial_resilience.copy()
-        rows, words = len(self.resilience), len(graph) // 64 + 1
+        rows, words = len(self.resilience), max(1, (len(graph) + 63) // 64)
         self.passed, self.failed = np.zeros((2, words, rows), np.uint64)
         self.n_passed, self.failures, self.attempts, self.exit_semester = np.zeros(
             (4, rows), np.int64)
@@ -485,6 +504,8 @@ def check_shared(scenarios: Sequence["ScenarioSpec"]) -> None:
     on its course order and prerequisites only; the message names the first
     field that differs.
     """
+    if not scenarios:
+        raise ValueError("nothing to run: no scenarios given")
     first = scenarios[0]
     others = [s for s in scenarios if s is not first]
     for name in SHARED_FIELDS:
@@ -493,19 +514,6 @@ def check_shared(scenarios: Sequence["ScenarioSpec"]) -> None:
             if _shared_value(other, name) != value:
                 raise ValueError(f"scenarios {first.id!r} and {other.id!r} cannot share a batch: "
                                  f"they differ in {name}")
-
-
-def _semester_rows(state: AgentBatch, n: int, rows, slots, failed, semester: int) -> list[tuple]:
-    ids = [c.id for c in state.graph.courses]
-    status = [STATUSES[s].value for s in state.status[rows].tolist()]
-    return [
-        (agent_id(row % n), semester, st, gpa, rho,
-         tuple(ids[c] for c in picks if c >= 0),
-         tuple(ids[c] for c, f in zip(picks, fails) if f))
-        for row, st, gpa, rho, picks, fails in zip(
-            rows.tolist(), status, state.gpa[rows].tolist(), state.resilience[rows].tolist(),
-            slots.tolist(), failed.tolist())
-    ]
 
 
 def run_blocks(blocks: Sequence[tuple["ScenarioSpec", int]],
@@ -540,7 +548,7 @@ def run_blocks(blocks: Sequence[tuple["ScenarioSpec", int]],
     n = shared.n_agents
     u, z = np.empty((2, len(blocks) * n, shared.course_load))
     hazard = np.empty(len(blocks) * n)
-    semesters: list[list[tuple]] = [[] for _ in blocks]
+    recorded: list[tuple] = []
     live = list(range(len(blocks)))
     for t in range(1, shared.horizon + 1):
         for k in live:
@@ -550,14 +558,17 @@ def run_blocks(blocks: Sequence[tuple["ScenarioSpec", int]],
             rngs[k].random(out=hazard[block])
         rows, slots, failed = advance_semester(state, scenarios, fail[t - 1], u, z, hazard, t)
         if record_rows:
-            bounds = np.searchsorted(rows, np.arange(len(blocks) + 1) * n).tolist()
-            for k in live:
-                part = slice(bounds[k], bounds[k + 1])
-                semesters[k].append(tuple(_semester_rows(
-                    state, n, rows[part], slots[part], failed[part], t)))
+            recorded.append((np.full(len(rows), t), rows, state.status[rows], state.gpa[rows],
+                             state.resilience[rows], slots, failed))
         live = [k for k in live if (state.status[k * n:(k + 1) * n] == ACTIVE).any()]
         if not live:
             break
+    records = [None] * len(blocks)
+    if recorded:  # each block's entries, in (semester, row) order
+        semester, rows, *rest = (np.concatenate(a) for a in zip(*recorded))
+        ids = tuple(c.id for c in state.graph.courses)
+        records = [SemesterRecord(*(a[rows // n == k] for a in (semester, rows % n, *rest)), ids)
+                   for k in range(len(blocks))]
 
     def log(k: int) -> TrajectoryLog:
         block = slice(k * n, (k + 1) * n)
@@ -566,7 +577,7 @@ def run_blocks(blocks: Sequence[tuple["ScenarioSpec", int]],
             status=state.status[block], cause=state.cause[block],
             exit_semester=state.exit_semester[block], gpa=state.gpa[block],
             resilience=state.resilience[block], initial_resilience=state.initial_resilience[block],
-            failures=state.failures[block], semesters=tuple(semesters[k]))
+            failures=state.failures[block], semesters=records[k])
     return [log(k) for k in range(len(blocks))]
 
 
@@ -581,10 +592,12 @@ TRAJECTORY_HEADER = ("realisation", "agent_id", "semester", "status", "gpa",
 
 
 def trajectory_csv_rows(log: TrajectoryLog) -> list[tuple]:
-    """Flatten a trajectory log to one row per agent-semester."""
-    out = []
-    for rows in log.semesters:
-        for agent, semester, status, gpa, rho, attempted, failed in rows:
-            out.append((log.realisation_index, agent, semester, status, gpa, rho,
-                        ";".join(attempted), ";".join(failed)))
-    return out
+    """Flatten a trajectory log to one row per agent-semester, course ids joined by ``;``."""
+    r = log.semesters
+    if r is None:
+        return []
+    courses = [[";".join([r.course_ids[c] for c in row if c >= 0]) for row in slots.tolist()]
+               for slots in (r.slots, np.where(r.failed, r.slots, -1))]
+    return list(zip([log.realisation_index] * len(r.agent), map(agent_id, r.agent.tolist()),
+                    r.semester.tolist(), [STATUSES[s].value for s in r.status.tolist()],
+                    r.gpa.tolist(), r.resilience.tolist(), *courses))

@@ -104,10 +104,7 @@ def inflation_volatility_24m(series: MacroSeries, entry_month: int) -> float:
 
 def annualised_inflation(series: MacroSeries, month: int) -> float:
     """Trailing-12-month compounded inflation rate (percent) at a month."""
-    factor = 1.0
-    for m in range(month - 12, month):
-        factor *= 1.0 + series.inflation_at(m) / 100.0
-    return (factor - 1.0) * 100.0
+    return cumulative_inflation(series, month - 12, 12)
 
 
 def cumulative_inflation(series: MacroSeries, start_month: int, n_months: int) -> float:
@@ -472,18 +469,18 @@ def student_records_from_log(log: TrajectoryLog, entry_month: int, entry_semeste
     Simulation semester s maps to absolute semester ``entry_semester + s - 1``;
     every attempted course becomes one taking.
     """
-    if not log.semesters:
+    record = log.semesters
+    if record is None:
         raise FeatureError("trajectory log has no per-semester rows; rerun with recording on")
-    takings: dict[str, list[tuple[str, int]]] = {}
-    for rows in log.semesters:
-        for agent, semester, _status, _gpa, _rho, attempted, _failed in rows:
-            absolute = entry_semester + semester - 1
-            takings.setdefault(agent, []).extend((cid, absolute) for cid in attempted)
+    takings: list[list[tuple[str, int]]] = [[] for _ in range(log.n_agents)]
+    semesters = (entry_semester - 1 + record.semester).tolist()
+    for agent, when, slots in zip(record.agent.tolist(), semesters, record.slots.tolist()):
+        takings[agent].extend((record.course_ids[c], when) for c in slots if c >= 0)
     return [
-        StudentRecord(student_id=agent, entry_month=entry_month,
+        StudentRecord(student_id=agent_id(agent), entry_month=entry_month,
                       entry_semester=entry_semester, cohort_year=cohort_year,
-                      takings=tuple(takings.get(agent, ())))
-        for agent in map(agent_id, range(log.n_agents))
+                      takings=tuple(taken))
+        for agent, taken in enumerate(takings)
     ]
 
 

@@ -14,7 +14,7 @@ moves continuously as events shift between semesters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -123,6 +123,25 @@ class RunMetrics:
     at_risk_by_semester: tuple[tuple[int, ...], ...]
 
 
+def paired_bootstrap(r: int, resamples: int, seed) -> Callable[..., tuple[float, float]]:
+    """A 95% percentile-bootstrap CI function over ``r`` realisations paired by index.
+
+    Every call of the returned ``ci(*samples, statistic=identity)`` resamples
+    with one ``(resamples, r)`` index draw from ``np.random.default_rng(seed)``:
+    the percentiles of ``statistic`` of the resample means of ``samples``
+    (arrays of ``r`` values).  With one realisation it is ``statistic`` of them.
+    """
+    idx = np.random.default_rng(seed).integers(0, r, size=(resamples, r)) if r > 1 else None
+
+    def ci(*samples, statistic=lambda mean: mean) -> tuple[float, float]:
+        if idx is None:
+            v = float(statistic(*(float(s[0]) for s in samples)))
+            return (v, v)
+        lo, hi = np.percentile(statistic(*(s[idx].mean(axis=1) for s in samples)), [2.5, 97.5])
+        return (float(lo), float(hi))
+    return ci
+
+
 def aggregate_stats(stats: Sequence[RealisationStats], horizon: int,
                     bootstrap_resamples: int = 1000, bootstrap_seed: int = 0) -> RunMetrics:
     """Aggregate per-realisation stats (ordered by index) into ensemble metrics."""
@@ -135,38 +154,18 @@ def aggregate_stats(stats: Sequence[RealisationStats], horizon: int,
     r = len(stats)
     n_agents = stats[0].n_agents
     d_total = np.array([s.d_total for s in stats])
-    d_early = np.array([s.d_early for s in stats])
-    d_late = np.array([s.d_late_conditional for s in stats])
     dropouts = np.array([s.dropouts_by_semester for s in stats], dtype=float)
     at_risk = np.array([s.at_risk_by_semester for s in stats], dtype=float)
 
-    rng = np.random.default_rng(bootstrap_seed)
-    idx = rng.integers(0, r, size=(bootstrap_resamples, r)) if r > 1 else None
-
-    def ci(values: np.ndarray) -> tuple[float, float]:
-        if idx is None:
-            v = float(values[0])
-            return (v, v)
-        means = values[idx].mean(axis=1)
-        lo, hi = np.percentile(means, [2.5, 97.5])
-        return (float(lo), float(hi))
-
+    ci = paired_bootstrap(r, bootstrap_resamples, bootstrap_seed)
     cum = dropouts.cumsum(axis=1) / n_agents  # (r, horizon) cumulative fractions
-    curve = []
-    for t in range(horizon):
-        lo, hi = ci(cum[:, t])
-        curve.append((t + 1, float(cum[:, t].mean()), lo, hi))
+    curve = [(t + 1, float(cum[:, t].mean()), *ci(cum[:, t])) for t in range(horizon)]
 
     point = point_estimates(stats)
 
     total_dropouts = sum(sum(s.cause_counts.values()) for s in stats)
-    if total_dropouts:
-        cause_shares = {
-            c.value: sum(s.cause_counts[c.value] for s in stats) / total_dropouts
-            for c in DropoutCause
-        }
-    else:
-        cause_shares = None
+    cause_shares = {c.value: sum(s.cause_counts[c.value] for s in stats) / total_dropouts
+                    for c in DropoutCause} if total_dropouts else None
 
     tercile_breakdown: dict[str, float | None] = {}
     for t in Tercile:
@@ -182,9 +181,9 @@ def aggregate_stats(stats: Sequence[RealisationStats], horizon: int,
         d_total=point.d_total,
         d_total_ci=ci(d_total),
         d_early=point.d_early,
-        d_early_ci=ci(d_early),
+        d_early_ci=ci(np.array([s.d_early for s in stats])),
         d_late_conditional=point.d_late_conditional,
-        d_late_conditional_ci=ci(d_late),
+        d_late_conditional_ci=ci(np.array([s.d_late_conditional for s in stats])),
         median_time_to_dropout=point.median_time_to_dropout,
         mean_time_to_dropout=point.mean_time_to_dropout,
         cause_shares=cause_shares,
@@ -223,22 +222,13 @@ def amplification(d_both: float, d_inf_only: float, d_str_only: float, d_base: f
 def amplification_ci(both: Sequence[float], inf_only: Sequence[float],
                      str_only: Sequence[float], base: Sequence[float],
                      resamples: int, seed) -> tuple[float, tuple[float, float]]:
-    """Amplification of per-realisation rates and its 95% paired bootstrap CI.
+    """Amplification of per-realisation rates and its 95% :func:`paired_bootstrap` CI.
 
-    The four sequences are paired by realisation index (common random
-    numbers), so each resample draws one index vector, from
-    ``np.random.default_rng(seed)``, shared by all four.  With a single
-    realisation the CI collapses to the point estimate.
+    The four sequences are paired by realisation index (common random numbers).
     """
     arrays = [np.asarray(a, dtype=float) for a in (both, inf_only, str_only, base)]
     point = amplification(*(float(a.mean()) for a in arrays))
-    r = arrays[0].size
-    if r == 1:
-        return point, (point, point)
-    idx = np.random.default_rng(seed).integers(0, r, size=(resamples, r))
-    b, i, s, o = (a[idx].mean(axis=1) for a in arrays)
-    lo, hi = np.percentile(amplification(b, i, s, o), [2.5, 97.5])
-    return point, (float(lo), float(hi))
+    return point, paired_bootstrap(arrays[0].size, resamples, seed)(*arrays, statistic=amplification)
 
 
 @dataclass(frozen=True)

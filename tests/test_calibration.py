@@ -260,6 +260,10 @@ class TestEvaluateTargets:
         with pytest.raises(ValueError, match="unknown target"):
             evaluate_targets(FreeParameters(), ("nope",), 1)
 
+    def test_no_targets_is_nothing_to_run(self):
+        with pytest.raises(ValueError, match="nothing to run"):
+            evaluate_targets(FreeParameters(), [], 2, n_agents=5, horizon=2)
+
     def test_groups_targets_by_scenario(self):
         sim = measured(FreeParameters(), ("s0_total", "s0_early", "s0_median_ttd"))
         assert set(sim) == {"s0_total", "s0_early", "s0_median_ttd"}

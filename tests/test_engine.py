@@ -1,11 +1,12 @@
 import math
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from cohortsim import scenario
+from cohortsim import engine, scenario
 from cohortsim.curriculum import Course, CurriculumGraph, Cycle, default_curriculum
 from cohortsim.engine import (
     AgentBatch, DecisionCoefficients, InterventionModifiers, ResilienceDynamics, ShockConfig,
@@ -13,6 +14,7 @@ from cohortsim.engine import (
     inflation_depletion_factor, realisation_cohort, run_blocks, run_realisation, select_courses,
     strike_multipliers, trajectory_csv_rows, PAPER_LITERAL,
 )
+from cohortsim.featurelab import FeatureError, student_records_from_log
 from cohortsim.population import (
     ACADEMIC, ACTIVE, DROPOUT, EXTERNAL, GRADUATED, NO_CAUSE, RESILIENCE_DEPLETION, STATUSES,
     Cohort, PopulationParams, Status, agent_id, generate_cohort,
@@ -85,6 +87,13 @@ def outcomes(log):
     """Per-agent status, cause, exit semester, GPA, resilience and failures."""
     return [a.tolist() for a in (log.status, log.cause, log.exit_semester, log.gpa,
                                  log.resilience, log.failures)]
+
+
+def record_lists(log):
+    """A log's per-semester record as lists (None when nothing was recorded)."""
+    record = log.semesters
+    return None if record is None else [
+        np.asarray(getattr(record, f.name)).tolist() for f in fields(record)]
 
 
 def table_entry(course, semester=1, **spec):
@@ -342,6 +351,13 @@ def reference_kernels(graph, passed, failed, load, block, secondary, u, z, p, re
 
 
 class TestKernelsMatchReference:
+    @pytest.mark.parametrize("n_courses, words", [(1, 1), (63, 1), (64, 1), (65, 2), (128, 2)])
+    def test_one_mask_word_per_64_courses(self, n_courses, words):
+        graph = CurriculumGraph([basic_course(f"c{i:03d}") for i in range(n_courses)])
+        state = AgentBatch([fresh_cohort(n=3)], graph)
+        assert state.passed.shape == state.failed.shape == (words, 3)
+        assert state.requires.shape == (words, n_courses)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_courses=st.sampled_from([1, 7, 40, 64, 80]),
            course_load=st.integers(1, 10),
@@ -454,7 +470,7 @@ class TestRunRealisation:
         a = run_realisation(self.spec(), 3)
         b = run_realisation(self.spec(), 3)
         assert outcomes(a) == outcomes(b)
-        assert a.semesters == b.semesters
+        assert record_lists(a) == record_lists(b)
 
     def test_indices_differ(self):
         a = run_realisation(self.spec(), 0)
@@ -463,7 +479,7 @@ class TestRunRealisation:
 
     def test_horizon_zero_yields_empty_log(self):
         log = run_realisation(self.spec(horizon=0), 0)
-        assert log.semesters == ()
+        assert log.semesters is None
         assert (log.status == ACTIVE).all()
 
     def test_conservation_of_agents(self):
@@ -475,9 +491,8 @@ class TestRunRealisation:
 
     def test_resilience_bounded_along_trajectories(self):
         log = run_realisation(self.spec(n_agents=60, horizon=12), 0)
-        for sem in log.semesters:
-            for row in sem:
-                assert 0.0 <= row[4] <= 1.0
+        rho = log.semesters.resilience
+        assert len(rho) >= 60 and ((0.0 <= rho) & (rho <= 1.0)).all()
 
     def test_neutral_shock_bit_identical_to_baseline(self):
         base = run_realisation(self.spec(), 0)
@@ -490,7 +505,7 @@ class TestRunRealisation:
         with_rows = run_realisation(self.spec(), 0, record_rows=True)
         without = run_realisation(self.spec(), 0, record_rows=False)
         assert outcomes(with_rows) == outcomes(without)
-        assert without.semesters == ()
+        assert without.semesters is None
 
     def test_first_semester_failures_monotone_in_strike(self):
         # common random numbers: before any divergence, a stronger strike can
@@ -531,13 +546,16 @@ class TestRunRealisation:
                          dynamics=ResilienceDynamics(external_hazard_base=0.0))
         log = run_realisation(spec, 0)
         assert (log.status == GRADUATED).all() and (log.exit_semester == 9).all()
-        taken = {(row[0], cid): row[1] for sem in log.semesters for row in sem
-                 for cid in row[5]}
-        for agent in map(agent_id, range(3)):
+        record = log.semesters
+        taken = {(agent, record.course_ids[c]): semester
+                 for agent, semester, slots in zip(record.agent.tolist(), record.semester.tolist(),
+                                                    record.slots.tolist())
+                 for c in slots if c >= 0}
+        for agent in range(3):
             for k in range(16):
                 assert taken[(agent, f"c{k:03d}")] > taken[(agent, f"c{k + 64:03d}")]
-        first = log.semesters[0][0][5]
-        assert first == tuple(f"c{i:03d}" for i in range(16, 26))
+        first = [record.course_ids[c] for c in record.slots[0] if c >= 0]
+        assert first == [f"c{i:03d}" for i in range(16, 26)]
 
 
 class TestBatching:
@@ -564,7 +582,7 @@ class TestBatching:
         for log in together:
             alone = run_realisation(spec, log.realisation_index)
             assert outcomes(log) == outcomes(alone)
-            assert log.semesters == alone.semesters
+            assert record_lists(log) == record_lists(alone)
 
     def test_realisation_cohort_takes_the_spec_size_and_the_index_seed(self):
         spec = self.spec(population=PopulationParams(n_agents=4))
@@ -579,7 +597,7 @@ def exact(log):
     """A log's per-agent outcomes, GPA and resilience as ``float.hex``."""
     return [log.status.tolist(), log.cause.tolist(), log.exit_semester.tolist(),
             log.failures.tolist(), [x.hex() for x in log.gpa.tolist()],
-            [x.hex() for x in log.resilience.tolist()], log.semesters]
+            [x.hex() for x in log.resilience.tolist()], record_lists(log)]
 
 
 #: Scenario variants that may share a batch: shocks, a strike pulse and each
@@ -651,6 +669,12 @@ class TestMixedBatches:
         with pytest.raises(ValueError, match=f"differ in {field}$"):
             run_blocks([(first, 0), (other, 0)])
 
+    def test_nothing_to_run_is_rejected(self):
+        with pytest.raises(ValueError, match="nothing to run"):
+            ensemble_stats([])
+        with pytest.raises(ValueError, match="nothing to run"):
+            run_blocks([])
+
     def test_curricula_may_differ_in_rates(self):
         rates = default_curriculum().replace_courses(
             Course(**{**c.__dict__, "base_fail_rate": c.base_fail_rate / 2})
@@ -658,6 +682,78 @@ class TestMixedBatches:
         spec, halved = self.spec("base"), self.spec("strikes", curriculum=rates)
         logs = run_blocks([(spec, 0), (halved, 0)])
         assert exact(logs[1]) == exact(run_realisation(halved, 0, record_rows=False))
+
+
+def reference_semester_rows(state, n, rows, slots, failed, semester):
+    """One tuple per agent-semester of ``rows``, as the engine once formatted its record."""
+    ids = [c.id for c in state.graph.courses]
+    status = [STATUSES[s].value for s in state.status[rows].tolist()]
+    return [
+        (agent_id(row % n), semester, st, gpa, rho,
+         tuple(ids[c] for c in picks if c >= 0),
+         tuple(ids[c] for c, f in zip(picks, fails) if f))
+        for row, st, gpa, rho, picks, fails in zip(
+            rows.tolist(), status, state.gpa[rows].tolist(), state.resilience[rows].tolist(),
+            slots.tolist(), failed.tolist())
+    ]
+
+
+def reference_student_takings(semesters, entry_semester):
+    """Each agent's (course id, absolute semester) takings from reference tuples."""
+    takings = {}
+    for agent, semester, _status, _gpa, _rho, attempted, _failed in semesters:
+        takings.setdefault(agent, []).extend(
+            (cid, entry_semester + semester - 1) for cid in attempted)
+    return takings
+
+
+#: 80 courses over two mask words, some gated on a course in the other word.
+WIDE_CURRICULUM = CurriculumGraph([
+    basic_course(f"w{i:02d}", fail=0.1 + 0.005 * i, sem=1 + i // 10,
+                 prereqs=(f"w{i + 60:02d}",) if 5 <= i < 15 else ())
+    for i in range(80)])
+
+
+class TestRecordMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**20), n_agents=st.integers(1, 30), horizon=st.integers(0, 12),
+           wide=st.booleans(), entry_semester=st.integers(1, 9),
+           blocks=st.lists(st.tuples(st.sampled_from(sorted(VARIANTS)), st.integers(0, 5)),
+                           min_size=1, max_size=6))
+    def test_csv_rows_and_student_records_match_the_tuple_reference(
+            self, seed, n_agents, horizon, wide, entry_semester, blocks):
+        assume(horizon > 0 or "pulse" not in dict(blocks))  # a semester-1 pulse needs one
+        extra = dict(curriculum=WIDE_CURRICULUM, course_load=8) if wide else {}
+        specs = {name: ScenarioSpec(**{**dict(id=name, n_agents=n_agents, horizon=horizon,
+                                               base_seed=seed, **extra), **VARIANTS[name]})
+                 for name, _ in blocks}
+        # the reference reads the live state right after every semester
+        reference = [[] for _ in blocks]
+
+        def spy(state, scenarios, *args):
+            rows, slots, failed = advance_semester(state, scenarios, *args)
+            for k in range(len(scenarios)):
+                part = rows // n_agents == k
+                reference[k].extend(reference_semester_rows(
+                    state, n_agents, rows[part], slots[part], failed[part], args[-1]))
+            return rows, slots, failed
+
+        with mock.patch.object(engine, "advance_semester", spy):
+            logs = run_blocks([(specs[name], i) for name, i in blocks], record_rows=True)
+        for (_, i), log, expected in zip(blocks, logs, reference):
+            assert trajectory_csv_rows(log) == [
+                (i, *row[:5], ";".join(row[5]), ";".join(row[6])) for row in expected]
+            if not expected:
+                assert horizon == 0 and log.semesters is None
+                with pytest.raises(FeatureError, match="no per-semester rows"):
+                    student_records_from_log(log, 24, entry_semester)
+                continue
+            takings = reference_student_takings(expected, entry_semester)
+            records = student_records_from_log(log, 24, entry_semester, cohort_year=2010)
+            assert [r.student_id for r in records] == [agent_id(a) for a in range(n_agents)]
+            for r in records:
+                assert (r.entry_month, r.entry_semester, r.cohort_year) == (24, entry_semester, 2010)
+                assert r.takings == tuple(takings.get(r.student_id, ()))
 
 
 class TestProperties:
@@ -669,25 +765,29 @@ class TestProperties:
                             shock=ShockConfig(lambda_inf=lambda_inf, lambda_str=lambda_str))
         log = run_realisation(spec, 0, record_rows=True)
         assert log.n_agents == n_agents
-        last_active: dict[str, int] = {}
-        exited: dict[str, tuple[int, str]] = {}
-        for sem in log.semesters:
-            for agent, semester, status, gpa, rho, attempted, failed in sem:
-                # an agent appears only while it starts the semester active
-                assert agent not in exited
-                assert 0.0 <= rho <= 1.0
-                assert set(failed) <= set(attempted)
-                if status == Status.ACTIVE.value:
-                    last_active[agent] = semester
-                else:
-                    exited[agent] = (semester, status)
+        last_active: dict[int, int] = {}
+        exited: dict[int, tuple[int, str]] = {}
+        record = log.semesters
+        for agent, semester, status, rho, slots, fails in zip(
+                *(getattr(record, name).tolist()
+                  for name in ("agent", "semester", "status", "resilience", "slots", "failed"))):
+            # an agent appears only while it starts the semester active
+            assert agent not in exited
+            assert 0.0 <= rho <= 1.0
+            attempted = [c for c in slots if c >= 0]
+            assert slots == attempted + [-1] * (len(slots) - len(attempted))
+            assert {c for c, f in zip(slots, fails) if f} <= set(attempted)
+            if STATUSES[status] is Status.ACTIVE:
+                last_active[agent] = semester
+            else:
+                exited[agent] = (semester, STATUSES[status].value)
         for i in range(n_agents):
-            agent, status = agent_id(i), STATUSES[log.status[i]]
+            status = STATUSES[log.status[i]]
             if status is Status.ACTIVE:
-                assert agent not in exited and log.exit_semester[i] == 0
+                assert i not in exited and log.exit_semester[i] == 0
                 assert log.cause[i] == NO_CAUSE
             else:
-                assert exited[agent] == (log.exit_semester[i], status.value)
+                assert exited[i] == (log.exit_semester[i], status.value)
                 assert (log.cause[i] == NO_CAUSE) == (status is Status.GRADUATED)
 
     @settings(max_examples=25, deadline=None)
