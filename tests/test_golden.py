@@ -42,6 +42,13 @@ TRAJECTORY_RUN_FILES = {
     "trajectories.csv": "1679891142654f1b88b5c89b90d67cfa92feb10626c7ddd41ba9e3ff5a4fe26a",
 }
 
+#: sha256 of every file written by ``sweep`` over the default 7x7 grid at
+#: 40 agents x 3 realisations, at any ``--workers``.
+SWEEP_RUN_FILES = {
+    "manifest.json": "e86169e0925b1ed3a42e77703e51f58ce0546fee1edc6638acb49676bd0329ee",
+    "sweep_grid.csv": "50c1e4635134d2f178b9aa209700c363100032ef7b55992f90a49a63d07d25e6",
+}
+
 #: sha256 of every file written by ``sensitivity --scenario <id> --vary
 #: tau_scale=0.8 --vary shock_form=paper-literal`` at 40 agents x 4
 #: realisations x 6 semesters, with the mechanism checks on.  In S7 one of
@@ -140,6 +147,16 @@ def test_trajectory_run_is_pinned(tmp_path, capsys):
     assert code == 0
     files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert files == TRAJECTORY_RUN_FILES
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_run_is_pinned(tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    code = cli_main(["sweep", "--override", "base.n_realisations=3",
+                     "--override", "base.n_agents=40", "--workers", workers, "--out", str(out)])
+    assert code == 0
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert files == SWEEP_RUN_FILES
 
 
 @pytest.mark.parametrize("scenario", list(SENSITIVITY_FILES))
