@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 from dataclasses import asdict, replace
@@ -41,7 +42,7 @@ from .metrics import (
     curve_csv_rows, metrics_summary_rows, realisation_stats, sweep_csv_rows,
 )
 from .scenario import (
-    DEFAULT_BASE_SEED, ScenarioSpec, SweepSpec, block_batches, builtin_scenario,
+    DEFAULT_BASE_SEED, ScenarioSpec, SweepSpec, WorkerPool, block_batches, builtin_scenario,
     ensemble_stats, run_sweep,
     scenario_from_dict, scenario_to_dict, sensitivity_run, spec_hash,
     sweep_from_dict, sweep_to_dict, BUILTIN_SCENARIO_IDS,
@@ -206,23 +207,37 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _recorded_batch(payload: tuple[ScenarioSpec, list[int]]) -> tuple[str, list]:
+    """One batch of realisations, recorded: its trajectory CSV rows as text and its stats."""
+    spec, indices = payload
+    text = io.StringIO()
+    writer = csv.writer(text)
+    stats = []
+    for log in run_blocks([(spec, i) for i in indices], record_rows=True):
+        writer.writerows(trajectory_csv_rows(log))
+        stats.append(realisation_stats(log))
+    return text.getvalue(), stats
+
+
 def _cmd_run(args) -> int:
     spec, snapshot = _scenario_from_args(args)
     out = _out_dir(args)
     artifacts: dict[str, Path] = {}
-    if args.trajectories:
-        stats = []
-        traj_path = out / "trajectories.csv"
-        with open(traj_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRAJECTORY_HEADER)
-            for batch in block_batches([spec]):
-                for log in run_blocks([(spec, i) for _, i in batch], record_rows=True):
-                    writer.writerows(trajectory_csv_rows(log))
-                    stats.append(realisation_stats(log))
-        artifacts["trajectories"] = traj_path
-    else:
-        stats = ensemble_stats([spec], args.workers)[0]
+    with WorkerPool(args.workers) as pool:
+        if args.trajectories:
+            stats = []
+            traj_path = out / "trajectories.csv"
+            payloads = [(spec, [i for _, i in batch]) for batch in block_batches([spec])]
+            with open(traj_path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerow(TRAJECTORY_HEADER)
+                # as many batches at a time as there are workers, written in index order
+                for j in range(0, len(payloads), pool.workers):
+                    for text, part in pool.map(_recorded_batch, payloads[j:j + pool.workers]):
+                        fh.write(text)
+                        stats.extend(part)
+            artifacts["trajectories"] = traj_path
+        else:
+            stats = ensemble_stats([spec], pool)[0]
     metrics = aggregate_stats(stats, spec.horizon)
 
     if args.cohort:

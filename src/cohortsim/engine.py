@@ -22,20 +22,24 @@ semester, lambda_str = 2 gives +50% basic-cycle friction).  The alternative
 which is not neutral at lambda = 1) is kept for sensitivity analysis.
 
 Many realisations advance together as one struct of arrays
-(:class:`AgentBatch`: one entry per agent, courses as bitmasks).  The unit of
-a batch is a *block*: one realisation index of one scenario.  Blocks of
-different scenarios may share a batch when their specs agree on everything
-but ``shock``, ``interventions`` and ``id`` (see :func:`check_shared`); what
+(:class:`AgentBatch`, courses as bitmasks).  The unit of a batch is a
+*block*: one realisation index of one scenario.  Blocks of different
+scenarios may share a batch when their specs agree on everything but
+``shock``, ``interventions`` and ``id`` (see :func:`check_shared`); what
 those two change reaches the engine as per-block data -- a failure-probability
 table per semester, an inflation depletion factor and a financial support
-boost.  Each realisation index draws its cohort once per batch, shared by all
-its blocks, and each block keeps its own stream, drawn in fixed-size batches
-per semester -- ``course_load`` uniforms, ``course_load`` grade deviates and
-one hazard uniform per agent, used or not -- so its results depend neither on
-outcomes, shock intensity and worker scheduling nor on its batch companions.
-That makes runs bit-reproducible and gives common random numbers across the
-scenarios of a contrast.  Grades add up slot by slot in attempt order, and
-continuation probabilities near a threshold are recomputed with ``math.exp``
+boost.  Only the table reaches the academic path (course choice, pass/fail,
+grades, GPA): blocks of one index with equal tables share one set of
+*academic rows*, and only the *decision rows* (resilience, the hazard and
+the continuation decision) run per block.  Each realisation index draws its
+cohort once per batch and its own stream once per semester for all of its
+blocks, in fixed-size batches -- ``course_load`` uniforms, ``course_load``
+grade deviates and one hazard uniform per agent, used or not -- so a block's
+results depend neither on outcomes, shock intensity and worker scheduling
+nor on its batch companions.  That makes runs bit-reproducible and gives
+common random numbers across the scenarios of a contrast.  Grades add up
+slot by slot in attempt order, and continuation probabilities near a
+threshold are recomputed with ``math.exp``
 (:data:`EXIT_GUARD`): every exit decision is ``math.exp``'s on any platform."""
 
 from __future__ import annotations
@@ -246,30 +250,63 @@ def inflation_depletion_factor(config: ShockConfig) -> float:
     return min(1.0, max(0.0, factor))
 
 
-class AgentBatch:
-    """Engine state of a batch of blocks, one array entry per agent (a row).
+def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``range(start, start + length)`` of each part, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
 
-    Block ``k`` starts from ``cohorts[k]``.  Rows are block-major: block
-    ``k``'s agent ``i`` is row ``k * n + i`` for cohorts of ``n`` agents, and
-    ``block`` holds each row's block.  Passed courses, and courses failed at
-    least once, are bitmasks over ``graph.courses`` (course ``c`` is bit
-    ``c % 64`` of word ``c // 64``), stored as ``(words, rows)`` uint64 arrays.
+
+class AgentBatch:
+    """Engine state of a batch of blocks, held as academic rows and decision rows.
+
+    A block's course attempts, pass/fail outcomes and grades depend only on
+    its cohort, its draws and its failure-probability table; inflation,
+    bursaries, decision coefficients and resilience never reach them.  So
+    blocks that share a realisation index and a table share one *academic
+    path* (a group), and only their decisions run per block:
+
+    * ``cohorts[s]`` is stream ``s``: a cohort and its draws.  Group ``g``
+      starts from stream ``streams[g]`` (default ``g``), and block ``k`` runs
+      on group ``groups[k]`` (default ``k``).
+    * Academic rows, one per (group, agent), group-major, ``group`` holding
+      each row's group and ``draw`` its row in the streams' draws: passed
+      courses and courses failed at least once as bitmasks over
+      ``graph.courses`` (course ``c`` is bit ``c % 64`` of word ``c // 64``,
+      stored as ``(words, rows)`` uint64 arrays), passes, failures, attempts,
+      grade points and GPA.
+    * Decision rows, one per (block, agent), block-major, ``block`` holding
+      each row's block and ``acad`` its academic row: resilience, status,
+      cause and exit semester.  The academic row may run on for other blocks
+      after a decision row exits, so the exiting row keeps its GPA and failure
+      count of that moment in ``exit_gpa`` and ``exit_failures``.
     """
 
-    def __init__(self, cohorts: Sequence[Cohort], graph: CurriculumGraph):
+    def __init__(self, cohorts: Sequence[Cohort], graph: CurriculumGraph,
+                 streams: Sequence[int] | None = None, groups: Sequence[int] | None = None):
         self.graph = graph
-        self.block = np.repeat(np.arange(len(cohorts)), [len(c) for c in cohorts])
-        self.secondary_gpa, self.parental_education, self.threshold, self.initial_resilience = (
-            np.concatenate([getattr(c, name) for c in cohorts])
-            for name in ("secondary_gpa", "parental_education", "threshold", "resilience"))
+        sizes = np.array([len(c) for c in cohorts])
+        streams = np.arange(len(cohorts)) if streams is None else np.asarray(streams)
+        groups = np.arange(len(streams)) if groups is None else np.asarray(groups)
+        lengths = sizes[streams]  # agents per group
+        self.draw = _concat_ranges((np.cumsum(sizes) - sizes)[streams], lengths)
+        self.acad = _concat_ranges((np.cumsum(lengths) - lengths)[groups], lengths[groups])
+        self.group = np.repeat(np.arange(len(streams)), lengths)
+        self.block = np.repeat(np.arange(len(groups)), lengths[groups])
+        self.secondary_gpa = np.concatenate([cohorts[s].secondary_gpa for s in streams.tolist()])
+        decided = [cohorts[s] for s in streams[groups].tolist()]
+        self.parental_education, self.threshold, self.initial_resilience = (
+            np.concatenate([getattr(c, name) for c in decided])
+            for name in ("parental_education", "threshold", "resilience"))
         self.resilience = self.initial_resilience.copy()
-        rows, words = len(self.resilience), max(1, (len(graph) + 63) // 64)
-        self.passed, self.failed = np.zeros((2, words, rows), np.uint64)
-        self.n_passed, self.failures, self.attempts, self.exit_semester = np.zeros(
-            (4, rows), np.int64)
-        self.grade_points, self.gpa = np.zeros((2, rows))
+        academic, rows = len(self.draw), len(self.acad)
+        words = max(1, (len(graph) + 63) // 64)
+        self.passed, self.failed = np.zeros((2, words, academic), np.uint64)
+        self.n_passed, self.failures, self.attempts = np.zeros((3, academic), np.int64)
+        self.grade_points, self.gpa = np.zeros((2, academic))
         self.status = np.full(rows, ACTIVE, np.int8)
         self.cause = np.full(rows, NO_CAUSE, np.int8)
+        self.exit_semester, self.exit_failures = np.zeros((2, rows), np.int64)
+        self.exit_gpa = np.zeros(rows)
         # bit[w, c]: course c's bit in word w, else 0; the empty slot -1 has none
         courses = np.arange(len(graph))
         self.bit = np.zeros((words, len(graph) + 1), np.uint64)
@@ -284,14 +321,14 @@ class AgentBatch:
 
 
 def select_courses(state: AgentBatch, rows: np.ndarray, course_load: int) -> np.ndarray:
-    """Courses each of ``rows`` attempts this semester: ``(len(rows), course_load)`` indices.
+    """Courses each of the academic ``rows`` attempts this semester: ``(len(rows), course_load)`` indices.
 
     Unresolved failures are retried first (they were eligible when first
     attempted, and eligibility never regresses), then fresh prerequisite-
     eligible courses in (scheduled semester, id) order -- the order of
     ``graph.courses`` -- up to ``course_load``.  Unused slots hold -1.
     """
-    passed, failed = state.passed[:, rows], state.failed[:, rows]
+    passed, failed = (np.take(mask, rows, axis=1) for mask in (state.passed, state.failed))
     taken = passed | failed
     bit, requires = state.bit[:, :-1], state.requires
     # only courses somebody may take: not taken by all, each prerequisite passed by someone
@@ -320,11 +357,11 @@ def select_courses(state: AgentBatch, rows: np.ndarray, course_load: int) -> np.
 
 def grade_attempts(state: AgentBatch, rows: np.ndarray, slots: np.ndarray, u: np.ndarray,
                    z: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Attempt the slotted courses of ``rows``, updating their records in place.
+    """Attempt the slotted courses of the academic ``rows``, updating their records in place.
 
-    ``p`` is a ``(blocks, courses + 1)`` failure-probability table whose last
+    ``p`` is a ``(groups, courses + 1)`` failure-probability table whose last
     column is the empty slot -1.  Slot ``j`` fails when
-    ``u[:, j] < p[block, course]``; a pass is graded
+    ``u[:, j] < p[group, course]``; a pass is graded
     N(4 + 0.6 * secondary GPA, 1) clipped to [4, 10] with deviate ``z[:, j]``,
     a failure 2.  Grade points are added slot by slot, so they round as in
     attempt order; GPA is the running mean over all attempts.  Returns the
@@ -333,9 +370,9 @@ def grade_attempts(state: AgentBatch, rows: np.ndarray, slots: np.ndarray, u: np
     # slot-major, (course_load, rows): sums over slots run along whole rows
     slots, u, z = (np.ascontiguousarray(a.T) for a in (slots, u, z))
     attempted = slots >= 0
-    # p[block, course] as one lookup in the flat table; slot -1 lands on the
-    # previous block's (cyclically) empty slot, also 0
-    fail = attempted & (u < p.ravel()[state.block[rows] * p.shape[1] + slots])
+    # p[group, course] as one lookup in the flat table; slot -1 lands on the
+    # previous group's (cyclically) empty slot, also 0
+    fail = attempted & (u < p.ravel()[state.group[rows] * p.shape[1] + slots])
     passing = attempted & ~fail
     grade = np.clip(4.0 + 0.6 * state.secondary_gpa[rows] + z, 4.0, 10.0)
     points = state.grade_points[rows]
@@ -346,7 +383,7 @@ def grade_attempts(state: AgentBatch, rows: np.ndarray, slots: np.ndarray, u: np
     state.attempts[rows] = attempts
     state.n_passed[rows] += passing.sum(axis=0)
     state.failures[rows] += fail.sum(axis=0)
-    bits = state.bit[:, slots]  # (words, course_load, rows); slot -1 has no bit
+    bits = np.take(state.bit, slots, axis=1)  # (words, course_load, rows); slot -1 has no bit
     state.passed[:, rows] |= np.bitwise_or.reduce(bits * passing, axis=1)
     state.failed[:, rows] |= np.bitwise_or.reduce(bits * fail, axis=1)
     state.gpa[rows] = np.divide(points, attempts, out=state.gpa[rows], where=attempts > 0)
@@ -364,20 +401,22 @@ def _sigmoid(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def continuation_probabilities(state: AgentBatch, rows: np.ndarray,
+def continuation_probabilities(state: AgentBatch, rows: np.ndarray, acad: np.ndarray,
                                coeffs: DecisionCoefficients) -> np.ndarray:
-    """Continuation probabilities of ``rows`` (see :class:`DecisionCoefficients`).
+    """Continuation probabilities of the decision ``rows`` (see :class:`DecisionCoefficients`).
+
+    ``acad`` holds their academic rows, which give GPA, progress and failures.
 
     ``np.exp`` computes them, and ``math.exp`` those within :data:`EXIT_GUARD`
     of the row's threshold: the exit decision (probability below threshold)
     is the one ``math.exp`` gives, bit for bit, on any platform.
     """
-    progress = state.n_passed[rows] / len(state.graph)
+    progress = state.n_passed[acad] / len(state.graph)
     x = (coeffs.beta0
-         + coeffs.beta1 * state.gpa[rows] / 10.0
+         + coeffs.beta1 * state.gpa[acad] / 10.0
          + coeffs.beta2 * progress
          + coeffs.beta3 * state.resilience[rows]
-         + coeffs.beta4 * state.failures[rows])
+         + coeffs.beta4 * state.failures[acad])
     p = _sigmoid(x, np.exp(-np.abs(x)))
     near = np.flatnonzero(np.abs(p - state.threshold[rows]) <= EXIT_GUARD)
     p[near] = _sigmoid(x[near], np.array([math.exp(v) for v in (-np.abs(x[near])).tolist()]))
@@ -386,30 +425,41 @@ def continuation_probabilities(state: AgentBatch, rows: np.ndarray,
 
 def advance_semester(state: AgentBatch, scenarios: Sequence["ScenarioSpec"], fail: np.ndarray,
                      u: np.ndarray, z: np.ndarray, hazard: np.ndarray,
-                     semester: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance every active row through one semester, in place.
+                     semester: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Advance every active decision row through one semester, in place.
 
     ``scenarios[k]`` is block ``k``'s spec; the blocks share everything
     :func:`check_shared` checks, so the course load, coefficients and dynamics
-    are read from the first.  ``fail`` is the semester's ``(blocks, courses +
+    are read from the first.  ``fail`` is the semester's ``(groups, courses +
     1)`` failure-probability table (rows of :func:`failure_table`).  ``u``
-    and ``z`` are ``(rows, course_load)`` uniforms and grade deviates,
-    ``hazard`` one uniform per row.  End-of-semester evaluation order:
-    graduation, then the external-circumstance hazard, then the threshold
-    decision on the continuation probability.  Dropout causes follow the
-    precedence external > resilience-depletion > academic.  Returns the rows
-    that were active, their course slots and their failure flags.
+    and ``z`` are the streams' ``(draw rows, course_load)`` uniforms and grade
+    deviates, ``hazard`` one uniform per draw row.  The academic rows of the
+    active decision rows attempt their courses once, however many blocks share
+    them.  End-of-semester evaluation order: graduation, then the
+    external-circumstance hazard, then the threshold decision on the
+    continuation probability.  Dropout causes follow the precedence external >
+    resilience-depletion > academic.  Returns the decision rows that were
+    active, the academic rows that ran (ascending), and those academic rows'
+    course slots and failure flags.
     """
     shared = scenarios[0]
     dynamics = shared.dynamics
     rows = np.flatnonzero(state.status == ACTIVE)
-    block = state.block[rows]
-    slots = select_courses(state, rows, shared.course_load)
-    failed = grade_attempts(state, rows, slots, u[rows], z[rows], fail)
+    acad = state.acad[rows]
+    running = np.zeros(len(state.draw), bool)
+    running[acad] = True
+    paths = np.flatnonzero(running)  # the academic rows some block still runs
+    draw = state.draw[paths]
+    before = state.failures.copy()
+    slots = select_courses(state, paths, shared.course_load)
+    # np.take gathers whole rows several times faster than indexing
+    failed = grade_attempts(state, paths, slots, np.take(u, draw, axis=0),
+                            np.take(z, draw, axis=0), fail)
+    n_failed = state.failures[acad] - before[acad]
 
+    block = state.block[rows]
     depletion = np.array([inflation_depletion_factor(s.shock) for s in scenarios])
     boost = np.array([s.interventions.financial_support_boost for s in scenarios])
-    n_failed = failed.sum(axis=1)
     rho = state.resilience[rows] * depletion[block] - dynamics.d_fail * n_failed
     rho = np.where(n_failed == 0, rho + dynamics.r_gain * (1.0 - rho), rho)
     parental = state.parental_education[rows]
@@ -417,12 +467,13 @@ def advance_semester(state: AgentBatch, scenarios: Sequence["ScenarioSpec"], fai
     rho = np.where(rho <= 0.0, 0.0, np.where(rho > 1.0, 1.0, rho))
     state.resilience[rows] = rho
 
-    graduated = state.n_passed[rows] == len(state.graph)
+    graduated = state.n_passed[acad] == len(state.graph)
     eps = dynamics.external_hazard_base * (6 - parental) / 3.0
-    external = ~graduated & (hazard[rows] < eps)
+    external = ~graduated & (hazard[state.draw[acad]] < eps)
     deciding = np.flatnonzero(~graduated & ~external)
-    leaving = deciding[continuation_probabilities(state, rows[deciding], shared.coefficients)
-                       < state.threshold[rows[deciding]]]
+    leaving = deciding[continuation_probabilities(
+        state, rows[deciding], acad[deciding], shared.coefficients)
+        < state.threshold[rows[deciding]]]
     depleted = rho[leaving] < dynamics.rho_floor
 
     for where, status, cause in (
@@ -432,7 +483,11 @@ def advance_semester(state: AgentBatch, scenarios: Sequence["ScenarioSpec"], fai
         state.status[where] = status
         state.cause[where] = cause
         state.exit_semester[where] = semester
-    return rows, slots, failed
+    # their academic rows may run on for other blocks: exiting rows keep this semester's values
+    out = np.flatnonzero(state.status[rows] != ACTIVE)
+    state.exit_gpa[rows[out]] = state.gpa[acad[out]]
+    state.exit_failures[rows[out]] = state.failures[acad[out]]
+    return rows, paths, slots, failed
 
 
 @lru_cache(maxsize=4)
@@ -522,14 +577,15 @@ def run_blocks(blocks: Sequence[tuple["ScenarioSpec", int]],
     """Run blocks -- (scenario, realisation index) pairs -- as one batch, one log per block.
 
     The scenarios must pass :func:`check_shared`.  Realisation ``i`` draws its
-    :func:`realisation_cohort` once for all of its blocks, and each block draws
-    from its own engine stream ``SeedSequence([base_seed XOR i, 1])``: each
-    semester ``course_load`` uniforms, ``course_load`` grade deviates and one
-    hazard uniform per agent.  So a block's results depend neither on which
-    blocks share its batch nor on their scenarios, and blocks of one index are
-    common-random-number replicates of each other.  ``tables[k]`` is block
-    ``k``'s :func:`failure_table`; ensemble runners pass the tables they
-    built once per scenario.
+    :func:`realisation_cohort` once for all of its blocks, and its engine
+    stream ``SeedSequence([base_seed XOR i, 1])`` once per semester for all
+    of them: ``course_load`` uniforms, ``course_load`` grade deviates and one
+    hazard uniform per agent.  Blocks of one index whose failure tables are
+    equal run one academic path (see :class:`AgentBatch`).  So a block's
+    results depend neither on which blocks share its batch nor on their
+    scenarios, and blocks of one index are common-random-number replicates of
+    each other.  ``tables[k]`` is block ``k``'s :func:`failure_table`;
+    ensemble runners pass the tables they built once per scenario.
     """
     scenarios = [spec for spec, _ in blocks]
     indices = [i for _, i in blocks]
@@ -539,28 +595,37 @@ def run_blocks(blocks: Sequence[tuple["ScenarioSpec", int]],
     if tables is None:
         tables = [failure_table(spec) for spec in scenarios]
     shared = scenarios[0]
-    cohorts = {i: realisation_cohort(shared, i) for i in dict.fromkeys(indices)}
-    state = AgentBatch([cohorts[i] for i in indices], _base_graph(shared))
+    streams = {i: s for s, i in enumerate(dict.fromkeys(indices))}
+    keys = [(i, table.tobytes()) for i, table in zip(indices, tables)]
+    group_tables = dict(zip(keys, tables))  # one per group, in order of first appearance
+    groups = {key: g for g, key in enumerate(group_tables)}
+    state = AgentBatch([realisation_cohort(shared, i) for i in streams], _base_graph(shared),
+                       [streams[i] for i, _ in group_tables], [groups[key] for key in keys])
     rngs = [np.random.default_rng(np.random.SeedSequence([shared.base_seed ^ i, 1]))
-            for i in indices]
-    fail = np.stack(tables, axis=1)  # (horizon, blocks, courses + 1)
+            for i in streams]
+    fail = np.stack(list(group_tables.values()), axis=1)  # (horizon, groups, courses + 1)
+    block_stream = np.array([streams[i] for i in indices])
 
     n = shared.n_agents
-    u, z = np.empty((2, len(blocks) * n, shared.course_load))
-    hazard = np.empty(len(blocks) * n)
+    u, z = np.empty((2, len(streams) * n, shared.course_load))
+    hazard = np.empty(len(streams) * n)
     recorded: list[tuple] = []
-    live = list(range(len(blocks)))
+    live = range(len(streams))
     for t in range(1, shared.horizon + 1):
-        for k in live:
-            block = slice(k * n, (k + 1) * n)
-            rngs[k].random(out=u[block])
-            rngs[k].standard_normal(out=z[block])
-            rngs[k].random(out=hazard[block])
-        rows, slots, failed = advance_semester(state, scenarios, fail[t - 1], u, z, hazard, t)
+        for s in live:
+            stream = slice(s * n, (s + 1) * n)
+            rngs[s].random(out=u[stream])
+            rngs[s].standard_normal(out=z[stream])
+            rngs[s].random(out=hazard[stream])
+        rows, paths, slots, failed = advance_semester(state, scenarios, fail[t - 1],
+                                                      u, z, hazard, t)
         if record_rows:
-            recorded.append((np.full(len(rows), t), rows, state.status[rows], state.gpa[rows],
-                             state.resilience[rows], slots, failed))
-        live = [k for k in live if (state.status[k * n:(k + 1) * n] == ACTIVE).any()]
+            acad = state.acad[rows]
+            at = np.searchsorted(paths, acad)
+            recorded.append((np.full(len(rows), t), rows, state.status[rows], state.gpa[acad],
+                             state.resilience[rows], slots[at], failed[at]))
+        active = (state.status.reshape(len(blocks), n) == ACTIVE).any(axis=1)
+        live = sorted(set(block_stream[active].tolist()))
         if not live:
             break
     records = [None] * len(blocks)
@@ -569,15 +634,19 @@ def run_blocks(blocks: Sequence[tuple["ScenarioSpec", int]],
         ids = tuple(c.id for c in state.graph.courses)
         records = [SemesterRecord(*(a[rows // n == k] for a in (semester, rows % n, *rest)), ids)
                    for k in range(len(blocks))]
+    # rows still active read their GPA and failures off their academic rows
+    active = state.status == ACTIVE
+    gpa = np.where(active, state.gpa[state.acad], state.exit_gpa)
+    failures = np.where(active, state.failures[state.acad], state.exit_failures)
 
     def log(k: int) -> TrajectoryLog:
         block = slice(k * n, (k + 1) * n)
         return TrajectoryLog(
             realisation_index=indices[k], horizon=shared.horizon,
             status=state.status[block], cause=state.cause[block],
-            exit_semester=state.exit_semester[block], gpa=state.gpa[block],
+            exit_semester=state.exit_semester[block], gpa=gpa[block],
             resilience=state.resilience[block], initial_resilience=state.initial_resilience[block],
-            failures=state.failures[block], semesters=records[k])
+            failures=failures[block], semesters=records[k])
     return [log(k) for k in range(len(blocks))]
 
 

@@ -12,7 +12,9 @@ aggregate in realisation-index order so results are byte-identical for any
 worker count.  Several scenarios that differ only in shock and interventions
 run as one set of engine batches (:func:`ensemble_stats`): each batch holds
 blocks -- one realisation index of one scenario -- ordered by index and then
-by scenario, and the blocks of one index start from the same cohort.  Sweep
+by scenario, scenarios with equal failure tables next to each other.  The
+blocks of one index start from the same cohort and draws, and those with
+equal tables also share their course attempts and grades.  Sweep
 grid points, calibration's scenario variants and the sensitivity checks run
 this way, on common random numbers, which keeps their contrasts (the
 amplification surface, the strike-pulse lag) from being dominated by
@@ -139,15 +141,22 @@ def builtin_scenario(scenario_id: str, base_seed: int = DEFAULT_BASE_SEED) -> Sc
 BATCH_REALISATIONS = 10
 
 
-def block_batches(specs: Sequence[ScenarioSpec]) -> list[list[tuple[int, int]]]:
+def block_batches(specs: Sequence[ScenarioSpec],
+                  keys: Sequence | None = None) -> list[list[tuple[int, int]]]:
     """The (spec position, realisation index) blocks of every spec's ensemble.
 
-    Blocks are ordered by realisation index and then by spec, so the blocks
-    that start from one cohort sit together, and cut into consecutive
-    batches of :data:`BATCH_REALISATIONS`.
+    Blocks are ordered by realisation index, so the blocks that start from
+    one cohort sit together, and then by spec, specs of equal ``keys``
+    (default: all distinct) next to each other from the first one's place,
+    so the blocks that may share an academic path sit together too.  They
+    are cut into consecutive batches of :data:`BATCH_REALISATIONS`.
     """
+    together: dict = {}
+    for k, key in enumerate(range(len(specs)) if keys is None else keys):
+        together.setdefault(key, []).append(k)
+    order = [k for ks in together.values() for k in ks]
     blocks = [(k, i) for i in range(max(spec.n_realisations for spec in specs))
-              for k, spec in enumerate(specs) if i < spec.n_realisations]
+              for k in order if i < specs[k].n_realisations]
     return [blocks[j:j + BATCH_REALISATIONS] for j in range(0, len(blocks), BATCH_REALISATIONS)]
 
 
@@ -211,14 +220,15 @@ def ensemble_stats(specs: Sequence[ScenarioSpec],
 
     The specs run as blocks of shared batches (:func:`block_batches`), so
     they must pass :func:`~cohortsim.engine.check_shared`.  Each spec's
-    failure table is built once.  The batches are spread over the pool
+    failure table is built once and keys the batch order, so that blocks of
+    equal tables run one academic path.  The batches are spread over the pool
     :func:`worker_pool` gives for ``workers``.  The result depends on
     neither the batches nor the workers.
     """
     specs = list(specs)
     check_shared(specs)
     tables = [failure_table(spec) for spec in specs]
-    batches = block_batches(specs)
+    batches = block_batches(specs, [table.tobytes() for table in tables])
     payloads = [([(specs[k], i) for k, i in batch], [tables[k] for k, _ in batch])
                 for batch in batches]
     with worker_pool(workers) as pool:

@@ -144,6 +144,8 @@ class TestSweepCommand:
 
 
 @pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "S6", "--trajectories", "--cohort", "--override", "n_agents=30",
+     "--override", "n_realisations=25"],
     ["sweep", "--override", "base.n_realisations=3"],
     ["calibrate", "--budget", "6", "--stage1-realisations", "2", "--full-realisations", "4"],
 ])
@@ -202,6 +204,19 @@ class TestWorkers:
                        "--vary", "tau_scale=1.2", "--no-properties", "--workers", "2",
                        "--out", tmp_path / "sens", *TINY) == 0
         assert [(p.max_workers, p.shut_down) for p in stub_pools] == [(2, True)]
+
+    def test_recorded_run_spreads_its_batches_over_the_pool(self, tmp_path, stub_pools,
+                                                            monkeypatch):
+        monkeypatch.setattr(scenario, "BATCH_REALISATIONS", 1)
+        assert run_cli("run", "--scenario", "S0", "--trajectories", "--workers", "2",
+                       "--out", tmp_path / "w2", *TINY) == 0
+        assert [(p.max_workers, p.shut_down) for p in stub_pools] == [(2, True)]
+        assert run_cli("run", "--scenario", "S0", "--trajectories", "--workers", "1",
+                       "--out", tmp_path / "w1", *TINY) == 0
+        assert len(stub_pools) == 1
+        trees = [{p.relative_to(out): p.read_bytes() for p in out.rglob("*")}
+                 for out in (tmp_path / "w1", tmp_path / "w2")]
+        assert trees[0] == trees[1]
 
     def test_pool_is_never_larger_than_the_batch_count(self, tmp_path, stub_pools,
                                                        monkeypatch):

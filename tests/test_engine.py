@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -19,7 +19,7 @@ from cohortsim.population import (
     ACADEMIC, ACTIVE, DROPOUT, EXTERNAL, GRADUATED, NO_CAUSE, RESILIENCE_DEPLETION, STATUSES,
     Cohort, PopulationParams, Status, agent_id, generate_cohort,
 )
-from cohortsim.scenario import ScenarioSpec, ensemble_stats
+from cohortsim.scenario import ScenarioSpec, builtin_scenario, ensemble_stats
 
 
 def basic_course(cid="b", fail=0.4, sem=1, prereqs=()):
@@ -216,8 +216,8 @@ class TestAttemptCourse:
     def test_inactive_agent_rejected(self):
         state = fresh_batch(self.graph())
         state.status[0] = DROPOUT
-        rows, slots, failed = step(state, 1)
-        assert rows.size == 0 and slots.size == 0
+        rows, paths, slots, failed = step(state, 1)
+        assert rows.size == 0 and paths.size == 0 and slots.size == 0
         assert state.attempts[0] == 0
 
 
@@ -227,7 +227,8 @@ class TestContinuationProbability:
                                + [advanced_course(f"a{i}") for i in range(36)])
 
     def probability(self, state, coeffs):
-        return continuation_probabilities(state, np.arange(len(state.status)), coeffs)
+        rows = np.arange(len(state.status))
+        return continuation_probabilities(state, rows, state.acad[rows], coeffs)
 
     def test_zero_coefficients_give_half(self):
         state = fresh_batch(self.graph())
@@ -396,7 +397,7 @@ class TestKernelsMatchReference:
         points, attempts, gpa, n_passed, failures = before
         for i, row in enumerate(rows.tolist()):
             picks, flags, passed, failed, (pts, att) = reference_kernels(
-                graph, *sets[row], course_load, state.block[row], state.secondary_gpa[row],
+                graph, *sets[row], course_load, state.group[row], state.secondary_gpa[row],
                 u[i].tolist(), z[i].tolist(), p, (points[row], attempts[row]))
             pad = course_load - len(picks)
             assert slots[i].tolist() == picks + [-1] * pad
@@ -684,8 +685,41 @@ class TestMixedBatches:
         assert exact(logs[1]) == exact(run_realisation(halved, 0, record_rows=False))
 
 
+class TestSharedAcademicPaths:
+    """Blocks of one realisation index and one failure table attempt their courses once."""
+
+    def spec(self, name):
+        return replace(builtin_scenario(name), n_agents=30, n_realisations=2, horizon=6)
+
+    def first_semester(self, blocks):
+        """Rows ``select_courses`` runs in semester 1, and the recorded logs."""
+        counts = []
+
+        def spy(state, rows, course_load):
+            counts.append(len(rows))
+            return select_courses(state, rows, course_load)
+
+        with mock.patch.object(engine, "select_courses", spy):
+            logs = run_blocks([(self.spec(name), i) for name, i in blocks], record_rows=True)
+        return counts[0], logs
+
+    @pytest.mark.parametrize("blocks, paths", [
+        ([("S0", 1), ("S5", 1), ("S3", 1)], 1),  # inflation and bursaries leave the table alone
+        ([("S0", 1), ("S6", 1)], 2),  # strikes change it
+        ([("S6", 1), ("S0", 1), ("S7", 1), ("S5", 1)], 2),
+        ([("S0", 0), ("S0", 1)], 2),  # other indices start from other cohorts
+    ])
+    def test_blocks_share_an_academic_path_and_match_their_runs_alone(self, blocks, paths):
+        rows, logs = self.first_semester(blocks)
+        assert rows == paths * 30
+        for (name, i), log in zip(blocks, logs):
+            assert exact(log) == exact(run_realisation(self.spec(name), i))
+
+
 def reference_semester_rows(state, n, rows, slots, failed, semester):
-    """One tuple per agent-semester of ``rows``, as the engine once formatted its record."""
+    """One tuple per agent-semester of the decision ``rows``, as the engine once formatted its record.
+
+    GPA is read off each row's academic row."""
     ids = [c.id for c in state.graph.courses]
     status = [STATUSES[s].value for s in state.status[rows].tolist()]
     return [
@@ -693,7 +727,8 @@ def reference_semester_rows(state, n, rows, slots, failed, semester):
          tuple(ids[c] for c in picks if c >= 0),
          tuple(ids[c] for c, f in zip(picks, fails) if f))
         for row, st, gpa, rho, picks, fails in zip(
-            rows.tolist(), status, state.gpa[rows].tolist(), state.resilience[rows].tolist(),
+            rows.tolist(), status, state.gpa[state.acad[rows]].tolist(),
+            state.resilience[rows].tolist(),
             slots.tolist(), failed.tolist())
     ]
 
@@ -731,12 +766,15 @@ class TestRecordMatchesReference:
         reference = [[] for _ in blocks]
 
         def spy(state, scenarios, *args):
-            rows, slots, failed = advance_semester(state, scenarios, *args)
+            rows, paths, slots, failed = advance_semester(state, scenarios, *args)
+            # each decision row's slots and flags are those of its academic row
+            position = {path: j for j, path in enumerate(paths.tolist())}
+            at = np.array([position[a] for a in state.acad[rows].tolist()], np.intp)
             for k in range(len(scenarios)):
                 part = rows // n_agents == k
                 reference[k].extend(reference_semester_rows(
-                    state, n_agents, rows[part], slots[part], failed[part], args[-1]))
-            return rows, slots, failed
+                    state, n_agents, rows[part], slots[at[part]], failed[at[part]], args[-1]))
+            return rows, paths, slots, failed
 
         with mock.patch.object(engine, "advance_semester", spy):
             logs = run_blocks([(specs[name], i) for name, i in blocks], record_rows=True)

@@ -14,7 +14,7 @@ from cohortsim.engine import (
 from cohortsim.metrics import sweep_csv_rows
 from cohortsim.population import PopulationParams
 from cohortsim.scenario import (
-    ScenarioSpec, SweepSpec, WorkerPool, builtin_scenario, run_ensemble, run_sweep,
+    ScenarioSpec, SweepSpec, WorkerPool, block_batches, builtin_scenario, run_ensemble, run_sweep,
     scenario_from_dict, scenario_to_dict, sensitivity_run, spec_hash,
     sweep_from_dict, sweep_to_dict,
 )
@@ -85,6 +85,26 @@ class TestRunEnsemble:
             assert pool._executor is executor
         assert pool._executor is None
         assert first == run_ensemble(tiny_spec())
+
+
+class TestBlockBatches:
+    def test_blocks_of_equal_keys_sit_together_within_an_index(self, monkeypatch):
+        monkeypatch.setattr(scenario, "BATCH_REALISATIONS", 4)
+        specs = [tiny_spec(n_realisations=n) for n in (2, 3, 2, 1)]
+        assert block_batches(specs) == [[(0, 0), (1, 0), (2, 0), (3, 0)],
+                                         [(0, 1), (1, 1), (2, 1), (1, 2)]]
+        assert block_batches(specs, ["a", "b", "a", "b"]) == [
+            [(0, 0), (2, 0), (1, 0), (3, 0)], [(0, 1), (2, 1), (1, 1), (1, 2)]]
+
+    def test_the_sweep_groups_its_cells_by_strike_multiplier(self):
+        sweep = SweepSpec(lambda_inf_grid=(1.0, 1.2), lambda_str_grid=(1.0, 2.0),
+                          base=tiny_spec(n_realisations=2))
+        specs = [replace(sweep.base, shock=ShockConfig(lambda_inf=li, lambda_str=ls))
+                 for li in sweep.lambda_inf_grid for ls in sweep.lambda_str_grid]
+        keys = [engine.failure_table(spec).tobytes() for spec in specs]
+        assert keys[0] == keys[2] != keys[1] == keys[3]
+        assert block_batches(specs, keys) == [[(0, 0), (2, 0), (1, 0), (3, 0),
+                                               (0, 1), (2, 1), (1, 1), (3, 1)]]
 
 
 class TestRunSweep:
