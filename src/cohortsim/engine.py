@@ -277,8 +277,12 @@ class AgentBatch:
     * Decision rows, one per (block, agent), block-major, ``block`` holding
       each row's block and ``acad`` its academic row: resilience, status,
       cause and exit semester.  The academic row may run on for other blocks
-      after a decision row exits, so the exiting row keeps its GPA and failure
-      count of that moment in ``exit_gpa`` and ``exit_failures``.
+      after a decision row exits, so ``exits`` keeps, per semester, the rows
+      that exited with their GPA and failure count of that moment.
+    * The cohort attributes -- ``secondary_gpa``, ``parental_education``,
+      ``threshold`` and ``initial_resilience`` -- are held per academic row,
+      so a decision row reads them at its ``acad``: there are fewer academic
+      rows than decision rows, often by far.
     """
 
     def __init__(self, cohorts: Sequence[Cohort], graph: CurriculumGraph,
@@ -292,12 +296,10 @@ class AgentBatch:
         self.acad = _concat_ranges((np.cumsum(lengths) - lengths)[groups], lengths[groups])
         self.group = np.repeat(np.arange(len(streams)), lengths)
         self.block = np.repeat(np.arange(len(groups)), lengths[groups])
-        self.secondary_gpa = np.concatenate([cohorts[s].secondary_gpa for s in streams.tolist()])
-        decided = [cohorts[s] for s in streams[groups].tolist()]
-        self.parental_education, self.threshold, self.initial_resilience = (
-            np.concatenate([getattr(c, name) for c in decided])
-            for name in ("parental_education", "threshold", "resilience"))
-        self.resilience = self.initial_resilience.copy()
+        self.secondary_gpa, self.parental_education, self.threshold, self.initial_resilience = (
+            np.concatenate([getattr(cohorts[s], name) for s in streams.tolist()])
+            for name in ("secondary_gpa", "parental_education", "threshold", "resilience"))
+        self.resilience = self.initial_resilience[self.acad]
         academic, rows = len(self.draw), len(self.acad)
         words = max(1, (len(graph) + 63) // 64)
         self.passed, self.failed = np.zeros((2, words, academic), np.uint64)
@@ -305,8 +307,8 @@ class AgentBatch:
         self.grade_points, self.gpa = np.zeros((2, academic))
         self.status = np.full(rows, ACTIVE, np.int8)
         self.cause = np.full(rows, NO_CAUSE, np.int8)
-        self.exit_semester, self.exit_failures = np.zeros((2, rows), np.int64)
-        self.exit_gpa = np.zeros(rows)
+        self.exit_semester = np.zeros(rows, np.int64)
+        self.exits: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         # bit[w, c]: course c's bit in word w, else 0; the empty slot -1 has none
         courses = np.arange(len(graph))
         self.bit = np.zeros((words, len(graph) + 1), np.uint64)
@@ -397,8 +399,11 @@ EXIT_GUARD = 1e-12
 
 
 def _sigmoid(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The logistic of ``x`` given ``e = exp(-|x|)``, in a form that never overflows."""
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """The logistic of ``x`` given ``e = exp(-|x|)``, in a form that never overflows:
+    ``1 / (1 + e)`` where ``x >= 0``, else ``e / (1 + e)``.  It is written into ``e``."""
+    d = 1.0 + e
+    np.divide(e, d, out=e)
+    return np.divide(1.0, d, out=e, where=x >= 0.0)
 
 
 def continuation_probabilities(state: AgentBatch, rows: np.ndarray, acad: np.ndarray,
@@ -411,28 +416,62 @@ def continuation_probabilities(state: AgentBatch, rows: np.ndarray, acad: np.nda
     of the row's threshold: the exit decision (probability below threshold)
     is the one ``math.exp`` gives, bit for bit, on any platform.
     """
-    progress = state.n_passed[acad] / len(state.graph)
-    x = (coeffs.beta0
-         + coeffs.beta1 * state.gpa[acad] / 10.0
-         + coeffs.beta2 * progress
-         + coeffs.beta3 * state.resilience[rows]
-         + coeffs.beta4 * state.failures[acad])
-    p = _sigmoid(x, np.exp(-np.abs(x)))
-    near = np.flatnonzero(np.abs(p - state.threshold[rows]) <= EXIT_GUARD)
+    # b0 + b1 * gpa / 10 + b2 * progress + b3 * rho + b4 * failures, added
+    # left to right; the first three terms are the academic row's own
+    academic = (coeffs.beta0 + coeffs.beta1 * state.gpa / 10.0
+                + coeffs.beta2 * (state.n_passed / len(state.graph)))
+    x = academic[acad]
+    x += coeffs.beta3 * state.resilience[rows]
+    x += (coeffs.beta4 * state.failures)[acad]
+    e = np.abs(x)
+    p = _sigmoid(x, np.exp(np.negative(e, out=e), out=e))
+    gap = state.threshold[acad]
+    near = np.flatnonzero(np.abs(np.subtract(p, gap, out=gap), out=gap) <= EXIT_GUARD)
     p[near] = _sigmoid(x[near], np.array([math.exp(v) for v in (-np.abs(x[near])).tolist()]))
     return p
 
 
-def advance_semester(state: AgentBatch, scenarios: Sequence["ScenarioSpec"], fail: np.ndarray,
-                     u: np.ndarray, z: np.ndarray, hazard: np.ndarray,
+def decision_inputs(scenarios: Sequence["ScenarioSpec"]) -> tuple[np.ndarray, np.ndarray]:
+    """Each block's inflation depletion factor and financial support boost, as two arrays."""
+    return (np.array([inflation_depletion_factor(s.shock) for s in scenarios]),
+            np.array([s.interventions.financial_support_boost for s in scenarios]))
+
+
+def _resilience(state: AgentBatch, rows: np.ndarray, acad: np.ndarray,
+                new_failures: np.ndarray, dynamics: ResilienceDynamics, depletion: np.ndarray,
+                boost: np.ndarray) -> np.ndarray:
+    """The decision ``rows``' resilience at the end of a semester.
+
+    ``acad`` holds their academic rows; academic row ``a`` failed
+    ``new_failures[a]`` attempts this semester.  Element by element:
+    ``rho * depletion - d_fail * failures``, plus the recovery after a clean
+    semester, plus the boost for parental education up to 2, held to [0, 1].
+    It runs in place on one array, as the decision rows are many.
+    """
+    block = state.block[rows]
+    n_failed = new_failures[acad]
+    rho = state.resilience[rows]
+    rho *= depletion[block]
+    rho -= dynamics.d_fail * n_failed
+    np.add(rho, dynamics.r_gain * (1.0 - rho), out=rho, where=n_failed == 0)
+    np.add(rho, boost[block], out=rho, where=(state.parental_education <= 2)[acad])
+    np.copyto(rho, 0.0, where=rho <= 0.0)
+    np.copyto(rho, 1.0, where=rho > 1.0)
+    return rho
+
+
+def advance_semester(state: AgentBatch, shared: "ScenarioSpec", fail: np.ndarray,
+                     depletion: np.ndarray, boost: np.ndarray, u: np.ndarray, z: np.ndarray,
+                     hazard: np.ndarray,
                      semester: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Advance every active decision row through one semester, in place.
 
-    ``scenarios[k]`` is block ``k``'s spec; the blocks share everything
-    :func:`check_shared` checks, so the course load, coefficients and dynamics
-    are read from the first.  ``fail`` is the semester's ``(groups, courses +
-    1)`` failure-probability table (rows of :func:`failure_table`).  ``u``
-    and ``z`` are the streams' ``(draw rows, course_load)`` uniforms and grade
+    The blocks share everything :func:`check_shared` checks, so the course
+    load, coefficients and dynamics are read from ``shared``, any one of
+    their specs.  ``fail`` is the semester's ``(groups, courses + 1)``
+    failure-probability table (rows of :func:`failure_table`), ``depletion``
+    and ``boost`` are the blocks' :func:`decision_inputs`.  ``u`` and ``z``
+    are the streams' ``(draw rows, course_load)`` uniforms and grade
     deviates, ``hazard`` one uniform per draw row.  The academic rows of the
     active decision rows attempt their courses once, however many blocks share
     them.  End-of-semester evaluation order: graduation, then the
@@ -442,7 +481,6 @@ def advance_semester(state: AgentBatch, scenarios: Sequence["ScenarioSpec"], fai
     active, the academic rows that ran (ascending), and those academic rows'
     course slots and failure flags.
     """
-    shared = scenarios[0]
     dynamics = shared.dynamics
     rows = np.flatnonzero(state.status == ACTIVE)
     acad = state.acad[rows]
@@ -455,26 +493,18 @@ def advance_semester(state: AgentBatch, scenarios: Sequence["ScenarioSpec"], fai
     # np.take gathers whole rows several times faster than indexing
     failed = grade_attempts(state, paths, slots, np.take(u, draw, axis=0),
                             np.take(z, draw, axis=0), fail)
-    n_failed = state.failures[acad] - before[acad]
 
-    block = state.block[rows]
-    depletion = np.array([inflation_depletion_factor(s.shock) for s in scenarios])
-    boost = np.array([s.interventions.financial_support_boost for s in scenarios])
-    rho = state.resilience[rows] * depletion[block] - dynamics.d_fail * n_failed
-    rho = np.where(n_failed == 0, rho + dynamics.r_gain * (1.0 - rho), rho)
-    parental = state.parental_education[rows]
-    rho = np.where(parental <= 2, rho + boost[block], rho)
-    rho = np.where(rho <= 0.0, 0.0, np.where(rho > 1.0, 1.0, rho))
-    state.resilience[rows] = rho
-
-    graduated = state.n_passed[acad] == len(state.graph)
-    eps = dynamics.external_hazard_base * (6 - parental) / 3.0
-    external = ~graduated & (hazard[state.draw[acad]] < eps)
-    deciding = np.flatnonzero(~graduated & ~external)
-    leaving = deciding[continuation_probabilities(
-        state, rows[deciding], acad[deciding], shared.coefficients)
-        < state.threshold[rows[deciding]]]
-    depleted = rho[leaving] < dynamics.rho_floor
+    # terms that depend on the agent alone are worked out once per academic row
+    state.resilience[rows] = _resilience(state, rows, acad, state.failures - before,
+                                         dynamics, depletion, boost)
+    graduated = (state.n_passed == len(state.graph))[acad]
+    eps = dynamics.external_hazard_base * (6 - state.parental_education) / 3.0
+    external = ~graduated & (hazard[state.draw] < eps)[acad]
+    # graduated and external rows get a probability too, which goes unused
+    leaving = ~graduated & ~external & (
+        continuation_probabilities(state, rows, acad, shared.coefficients)
+        < state.threshold[acad])
+    depleted = state.resilience[rows[leaving]] < dynamics.rho_floor
 
     for where, status, cause in (
             (rows[graduated], GRADUATED, NO_CAUSE),
@@ -485,8 +515,7 @@ def advance_semester(state: AgentBatch, scenarios: Sequence["ScenarioSpec"], fai
         state.exit_semester[where] = semester
     # their academic rows may run on for other blocks: exiting rows keep this semester's values
     out = np.flatnonzero(state.status[rows] != ACTIVE)
-    state.exit_gpa[rows[out]] = state.gpa[acad[out]]
-    state.exit_failures[rows[out]] = state.failures[acad[out]]
+    state.exits.append((rows[out], state.gpa[acad[out]], state.failures[acad[out]]))
     return rows, paths, slots, failed
 
 
@@ -571,6 +600,14 @@ def check_shared(scenarios: Sequence["ScenarioSpec"]) -> None:
                                  f"they differ in {name}")
 
 
+def _academic_groups(indices: Sequence[int], tables: Sequence[np.ndarray]) -> list[int]:
+    """Each block's group, numbered in order of first appearance: blocks of
+    one realisation index with equal failure tables share one."""
+    groups: dict = {}
+    return [groups.setdefault((i, table.tobytes()), len(groups))
+            for i, table in zip(indices, tables)]
+
+
 def run_blocks(blocks: Sequence[tuple["ScenarioSpec", int]],
                tables: Sequence[np.ndarray] | None = None,
                record_rows: bool = False) -> list[TrajectoryLog]:
@@ -596,14 +633,14 @@ def run_blocks(blocks: Sequence[tuple["ScenarioSpec", int]],
         tables = [failure_table(spec) for spec in scenarios]
     shared = scenarios[0]
     streams = {i: s for s, i in enumerate(dict.fromkeys(indices))}
-    keys = [(i, table.tobytes()) for i, table in zip(indices, tables)]
-    group_tables = dict(zip(keys, tables))  # one per group, in order of first appearance
-    groups = {key: g for g, key in enumerate(group_tables)}
+    groups = _academic_groups(indices, tables)
+    firsts = [groups.index(g) for g in range(max(groups) + 1)]  # each group's first block
     state = AgentBatch([realisation_cohort(shared, i) for i in streams], _base_graph(shared),
-                       [streams[i] for i, _ in group_tables], [groups[key] for key in keys])
+                       [streams[indices[k]] for k in firsts], groups)
     rngs = [np.random.default_rng(np.random.SeedSequence([shared.base_seed ^ i, 1]))
             for i in streams]
-    fail = np.stack(list(group_tables.values()), axis=1)  # (horizon, groups, courses + 1)
+    fail = np.stack([tables[k] for k in firsts], axis=1)  # (horizon, groups, courses + 1)
+    depletion, boost = decision_inputs(scenarios)
     block_stream = np.array([streams[i] for i in indices])
 
     n = shared.n_agents
@@ -617,13 +654,14 @@ def run_blocks(blocks: Sequence[tuple["ScenarioSpec", int]],
             rngs[s].random(out=u[stream])
             rngs[s].standard_normal(out=z[stream])
             rngs[s].random(out=hazard[stream])
-        rows, paths, slots, failed = advance_semester(state, scenarios, fail[t - 1],
-                                                      u, z, hazard, t)
+        outcome = advance_semester(state, shared, fail[t - 1], depletion, boost, u, z, hazard, t)
         if record_rows:
+            rows, paths, slots, failed = outcome
             acad = state.acad[rows]
             at = np.searchsorted(paths, acad)
             recorded.append((np.full(len(rows), t), rows, state.status[rows], state.gpa[acad],
                              state.resilience[rows], slots[at], failed[at]))
+        del outcome  # the next semester need not hold this one's arrays
         active = (state.status.reshape(len(blocks), n) == ACTIVE).any(axis=1)
         live = sorted(set(block_stream[active].tolist()))
         if not live:
@@ -635,9 +673,9 @@ def run_blocks(blocks: Sequence[tuple["ScenarioSpec", int]],
         records = [SemesterRecord(*(a[rows // n == k] for a in (semester, rows % n, *rest)), ids)
                    for k in range(len(blocks))]
     # rows still active read their GPA and failures off their academic rows
-    active = state.status == ACTIVE
-    gpa = np.where(active, state.gpa[state.acad], state.exit_gpa)
-    failures = np.where(active, state.failures[state.acad], state.exit_failures)
+    gpa, failures = state.gpa[state.acad], state.failures[state.acad]
+    for rows, exit_gpa, exit_failures in state.exits:
+        gpa[rows], failures[rows] = exit_gpa, exit_failures
 
     def log(k: int) -> TrajectoryLog:
         block = slice(k * n, (k + 1) * n)
@@ -645,7 +683,8 @@ def run_blocks(blocks: Sequence[tuple["ScenarioSpec", int]],
             realisation_index=indices[k], horizon=shared.horizon,
             status=state.status[block], cause=state.cause[block],
             exit_semester=state.exit_semester[block], gpa=gpa[block],
-            resilience=state.resilience[block], initial_resilience=state.initial_resilience[block],
+            resilience=state.resilience[block],
+            initial_resilience=state.initial_resilience[state.acad[block]],
             failures=failures[block], semesters=records[k])
     return [log(k) for k in range(len(blocks))]
 

@@ -123,22 +123,31 @@ class RunMetrics:
     at_risk_by_semester: tuple[tuple[int, ...], ...]
 
 
-def paired_bootstrap(r: int, resamples: int, seed) -> Callable[..., tuple[float, float]]:
+def paired_bootstrap(r: int, resamples: int, seed) -> Callable[..., tuple]:
     """A 95% percentile-bootstrap CI function over ``r`` realisations paired by index.
 
     Every call of the returned ``ci(*samples, statistic=identity)`` resamples
     with one ``(resamples, r)`` index draw from ``np.random.default_rng(seed)``:
-    the percentiles of ``statistic`` of the resample means of ``samples``
-    (arrays of ``r`` values).  With one realisation it is ``statistic`` of them.
+    the percentiles of ``statistic`` of the resample means of ``samples``.  A
+    sample is ``r`` values, or a stack of such rows of shape ``(..., r)``:
+    the statistic then sees ``(..., resamples)`` means, and the CI is a pair
+    of arrays of the leading shape (of floats for plain rows).  With one
+    realisation it is ``statistic`` of the values.
     """
     idx = np.random.default_rng(seed).integers(0, r, size=(resamples, r)) if r > 1 else None
 
-    def ci(*samples, statistic=lambda mean: mean) -> tuple[float, float]:
+    def means(sample: np.ndarray) -> np.ndarray:
+        # row by row: a whole stack's (..., resamples, r) gather can be large
+        rows = [row[idx].mean(axis=1) for row in sample.reshape(-1, r)]
+        return np.array(rows).reshape(*sample.shape[:-1], resamples)
+
+    def ci(*samples, statistic=lambda mean: mean) -> tuple:
+        samples = [np.asarray(s, dtype=float) for s in samples]
         if idx is None:
-            v = float(statistic(*(float(s[0]) for s in samples)))
-            return (v, v)
-        lo, hi = np.percentile(statistic(*(s[idx].mean(axis=1) for s in samples)), [2.5, 97.5])
-        return (float(lo), float(hi))
+            lo = hi = np.asarray(statistic(*(s[..., 0] for s in samples)))
+        else:
+            lo, hi = np.percentile(statistic(*map(means, samples)), [2.5, 97.5], axis=-1)
+        return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)
     return ci
 
 
@@ -229,6 +238,24 @@ def amplification_ci(both: Sequence[float], inf_only: Sequence[float],
     arrays = [np.asarray(a, dtype=float) for a in (both, inf_only, str_only, base)]
     point = amplification(*(float(a.mean()) for a in arrays))
     return point, paired_bootstrap(arrays[0].size, resamples, seed)(*arrays, statistic=amplification)
+
+
+def amplification_surface(d_total: np.ndarray, resamples: int,
+                          seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Amplification of every cell of a sweep grid, with its 95% CI: ``(point, lo, hi)`` arrays.
+
+    ``d_total[a, b]`` holds the per-realisation rates of the grid point at the
+    ``a``-th inflation and ``b``-th strike multiplier, the first of each
+    neutral; realisations are paired by index.  Each cell gives what
+    :func:`amplification_ci` gives for it against its two axis cells and the
+    origin, bit for bit, with one :func:`paired_bootstrap` draw for the grid.
+    """
+    def surface(m: np.ndarray) -> np.ndarray:
+        return amplification(m, m[:, :1], m[:1, :], m[:1, :1])
+
+    d_total = np.asarray(d_total, dtype=float)
+    ci = paired_bootstrap(d_total.shape[-1], resamples, seed)
+    return (surface(d_total.mean(axis=-1)), *ci(d_total, statistic=surface))
 
 
 @dataclass(frozen=True)

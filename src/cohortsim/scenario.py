@@ -12,9 +12,10 @@ aggregate in realisation-index order so results are byte-identical for any
 worker count.  Several scenarios that differ only in shock and interventions
 run as one set of engine batches (:func:`ensemble_stats`): each batch holds
 blocks -- one realisation index of one scenario -- ordered by index and then
-by scenario, scenarios with equal failure tables next to each other.  The
-blocks of one index start from the same cohort and draws, and those with
-equal tables also share their course attempts and grades.  Sweep
+by scenario, scenarios with equal failure tables next to each other, and
+whole indices where they fit (:func:`block_batches`).  The blocks of one
+index start from the same cohort and draws, and those with equal tables also
+share their course attempts and grades.  Sweep
 grid points, calibration's scenario variants and the sensitivity checks run
 this way, on common random numbers, which keeps their contrasts (the
 amplification surface, the strike-pulse lag) from being dominated by
@@ -29,6 +30,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .curriculum import CurriculumGraph, curriculum_from_dict, curriculum_to_dict
 from .engine import (
     DecisionCoefficients, InterventionModifiers, ResilienceDynamics, ShockConfig,
@@ -36,7 +39,7 @@ from .engine import (
     check_shared, failure_table, run_blocks,
 )
 from .metrics import (
-    RunMetrics, SweepCell, SweepResult, aggregate_stats, amplification_ci,
+    RunMetrics, SweepCell, SweepResult, aggregate_stats, amplification_ci, amplification_surface,
     hazard_excess, point_estimates, realisation_stats, RealisationStats,
 )
 from .population import PopulationParams
@@ -136,28 +139,44 @@ def builtin_scenario(scenario_id: str, base_seed: int = DEFAULT_BASE_SEED) -> Sc
 # Ensemble execution
 # ---------------------------------------------------------------------------
 
-#: Blocks (one realisation index of one scenario) advanced together by the
-#: ensemble runners.  Results do not depend on it; it bounds a batch's memory.
-BATCH_REALISATIONS = 10
+#: Academic paths -- the blocks of one realisation index under one failure
+#: table, which run one set of academic rows (see
+#: :class:`~cohortsim.engine.AgentBatch`) -- a batch of the ensemble runners
+#: holds at most.  Paths set a batch's engine work and memory more than its
+#: blocks do.  Results do not depend on it.
+BATCH_PATHS = 10
 
 
 def block_batches(specs: Sequence[ScenarioSpec],
                   keys: Sequence | None = None) -> list[list[tuple[int, int]]]:
-    """The (spec position, realisation index) blocks of every spec's ensemble.
+    """The (spec position, realisation index) blocks of every spec's ensemble, in batches.
 
     Blocks are ordered by realisation index, so the blocks that start from
     one cohort sit together, and then by spec, specs of equal ``keys``
-    (default: all distinct) next to each other from the first one's place,
-    so the blocks that may share an academic path sit together too.  They
-    are cut into consecutive batches of :data:`BATCH_REALISATIONS`.
+    (default: all distinct) next to each other from the first one's place.
+    The blocks of one index and key form a *group*, which runs one academic
+    path.  A batch holds whole groups, at most :data:`BATCH_PATHS` of them,
+    and whole indices: an index whose groups do not fit in the current batch
+    starts the next one, and it is split, at group boundaries, only when it
+    has more groups than :data:`BATCH_PATHS`.
     """
     together: dict = {}
     for k, key in enumerate(range(len(specs)) if keys is None else keys):
         together.setdefault(key, []).append(k)
-    order = [k for ks in together.values() for k in ks]
-    blocks = [(k, i) for i in range(max(spec.n_realisations for spec in specs))
-              for k in order if i < specs[k].n_realisations]
-    return [blocks[j:j + BATCH_REALISATIONS] for j in range(0, len(blocks), BATCH_REALISATIONS)]
+    batches: list[list[tuple[int, int]]] = []
+    paths = BATCH_PATHS  # the current batch's; the first group opens a batch
+    for i in range(max(spec.n_realisations for spec in specs)):
+        groups = [[(k, i) for k in ks if i < specs[k].n_realisations] for ks in together.values()]
+        groups = [group for group in groups if group]
+        if paths + len(groups) > BATCH_PATHS:  # the index opens the next batch
+            paths = BATCH_PATHS
+        for group in groups:
+            if paths == BATCH_PATHS:
+                batches.append([])
+                paths = 0
+            batches[-1].extend(group)
+            paths += 1
+    return batches
 
 
 class WorkerPool:
@@ -298,21 +317,22 @@ def run_sweep(sweep: SweepSpec, workers: int | WorkerPool = 1) -> SweepResult:
     grid = [(li, ls) for li in sweep.lambda_inf_grid for ls in sweep.lambda_str_grid]
     specs = [replace(base, id=f"sweep({li:g},{ls:g})",
                      shock=replace(base.shock, lambda_inf=li, lambda_str=ls)) for li, ls in grid]
-    stats = dict(zip(grid, ensemble_stats(specs, workers)))
-    d_total = {point: tuple(s.d_total for s in stats[point]) for point in grid}
+    per_point = ensemble_stats(specs, workers)
+    d_total = np.array([[s.d_total for s in stats] for stats in per_point])
+    shape = (len(sweep.lambda_inf_grid), len(sweep.lambda_str_grid), base.n_realisations)
+    # the surface in grid order, one entry per point
+    amplification, lo, hi = (a.ravel() for a in amplification_surface(
+        d_total.reshape(shape), sweep.bootstrap_resamples, [base.base_seed, 2]))
 
     cells: dict[tuple[float, float], SweepCell] = {}
-    origin = d_total[(1.0, 1.0)]
-    for li, ls in grid:
-        a_point, a_ci = amplification_ci(
-            d_total[(li, ls)], d_total[(li, 1.0)], d_total[(1.0, ls)], origin,
-            sweep.bootstrap_resamples, [base.base_seed, 2])
-        point = point_estimates(stats[(li, ls)])
+    for j, ((li, ls), stats) in enumerate(zip(grid, per_point)):
+        point = point_estimates(stats)
         cells[(li, ls)] = SweepCell(
             lambda_inf=li, lambda_str=ls,
             d_total=point.d_total, d_early=point.d_early,
-            amplification=a_point, amplification_ci=a_ci,
-            d_total_by_realisation=d_total[(li, ls)],
+            amplification=float(amplification[j]),
+            amplification_ci=(float(lo[j]), float(hi[j])),
+            d_total_by_realisation=tuple(d_total[j].tolist()),
         )
     return SweepResult(
         lambda_inf_grid=sweep.lambda_inf_grid,

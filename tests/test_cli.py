@@ -188,7 +188,7 @@ class TestWorkers:
                  "--full-realisations", "4", "--n-agents", "30"]
 
     def test_calibrate_runs_every_evaluation_in_one_pool(self, tmp_path, stub_pools):
-        # Stage 1 runs 8 scenarios x 2 realisations: 16 blocks in 2 batches.
+        # The 4-realisation evaluations hold more academic paths than one batch: the pool starts.
         assert run_cli(*self.CALIBRATE, "--workers", "2", "--out", tmp_path / "w2") == 0
         assert [(p.max_workers, p.shut_down) for p in stub_pools] == [(2, True)]
         assert run_cli(*self.CALIBRATE, "--workers", "1", "--out", tmp_path / "w1") == 0
@@ -199,7 +199,7 @@ class TestWorkers:
 
     def test_sensitivity_runs_every_configuration_in_one_pool(self, tmp_path, stub_pools,
                                                               monkeypatch):
-        monkeypatch.setattr(scenario, "BATCH_REALISATIONS", 1)
+        monkeypatch.setattr(scenario, "BATCH_PATHS", 1)
         assert run_cli("sensitivity", "--scenario", "S0", "--vary", "tau_scale=0.8",
                        "--vary", "tau_scale=1.2", "--no-properties", "--workers", "2",
                        "--out", tmp_path / "sens", *TINY) == 0
@@ -207,7 +207,7 @@ class TestWorkers:
 
     def test_recorded_run_spreads_its_batches_over_the_pool(self, tmp_path, stub_pools,
                                                             monkeypatch):
-        monkeypatch.setattr(scenario, "BATCH_REALISATIONS", 1)
+        monkeypatch.setattr(scenario, "BATCH_PATHS", 1)
         assert run_cli("run", "--scenario", "S0", "--trajectories", "--workers", "2",
                        "--out", tmp_path / "w2", *TINY) == 0
         assert [(p.max_workers, p.shut_down) for p in stub_pools] == [(2, True)]
@@ -223,7 +223,7 @@ class TestWorkers:
         assert run_cli("run", "--scenario", "S0", "--workers", "64", "--out", tmp_path / "one",
                        *TINY) == 0
         assert stub_pools == []  # 3 realisations are one batch
-        monkeypatch.setattr(scenario, "BATCH_REALISATIONS", 1)
+        monkeypatch.setattr(scenario, "BATCH_PATHS", 1)
         assert run_cli("run", "--scenario", "S0", "--workers", "64", "--out", tmp_path / "three",
                        *TINY) == 0
         assert [(p.max_workers, p.shut_down) for p in stub_pools] == [(3, True)]

@@ -10,16 +10,16 @@ from cohortsim import engine, scenario
 from cohortsim.curriculum import Course, CurriculumGraph, Cycle, default_curriculum
 from cohortsim.engine import (
     AgentBatch, DecisionCoefficients, InterventionModifiers, ResilienceDynamics, ShockConfig,
-    advance_semester, continuation_probabilities, effective_graph, failure_table, grade_attempts,
-    inflation_depletion_factor, realisation_cohort, run_blocks, run_realisation, select_courses,
-    strike_multipliers, trajectory_csv_rows, PAPER_LITERAL,
+    advance_semester, continuation_probabilities, decision_inputs, effective_graph, failure_table,
+    grade_attempts, inflation_depletion_factor, realisation_cohort, run_blocks, run_realisation,
+    select_courses, strike_multipliers, trajectory_csv_rows, PAPER_LITERAL,
 )
 from cohortsim.featurelab import FeatureError, student_records_from_log
 from cohortsim.population import (
     ACADEMIC, ACTIVE, DROPOUT, EXTERNAL, GRADUATED, NO_CAUSE, RESILIENCE_DEPLETION, STATUSES,
     Cohort, PopulationParams, Status, agent_id, generate_cohort,
 )
-from cohortsim.scenario import ScenarioSpec, builtin_scenario, ensemble_stats
+from cohortsim.scenario import ScenarioSpec, block_batches, builtin_scenario, ensemble_stats
 
 
 def basic_course(cid="b", fail=0.4, sem=1, prereqs=()):
@@ -71,8 +71,9 @@ def step(state, semester, seed=0, **spec):
     fail = failure_table(scenario)[semester - 1][None]
     rng = np.random.default_rng(seed)
     n, load = len(state.status), scenario.course_load
-    return advance_semester(state, [scenario], fail, rng.random((n, load)),
-                            rng.standard_normal((n, load)), rng.random(n), semester)
+    return advance_semester(state, scenario, fail, *decision_inputs([scenario]),
+                            rng.random((n, load)), rng.standard_normal((n, load)), rng.random(n),
+                            semester)
 
 
 def attempt(state, cids, u, z, fail=0.5):
@@ -568,13 +569,13 @@ class TestBatching:
 
     def test_batch_size_does_not_change_results(self, monkeypatch):
         default = ensemble_stats([self.spec()])
-        monkeypatch.setattr(scenario, "BATCH_REALISATIONS", 1)
+        monkeypatch.setattr(scenario, "BATCH_PATHS", 1)
         assert ensemble_stats([self.spec()]) == default
-        monkeypatch.setattr(scenario, "BATCH_REALISATIONS", 3)
+        monkeypatch.setattr(scenario, "BATCH_PATHS", 3)
         assert ensemble_stats([self.spec()]) == default
 
     def test_workers_do_not_change_results(self, monkeypatch):
-        monkeypatch.setattr(scenario, "BATCH_REALISATIONS", 2)
+        monkeypatch.setattr(scenario, "BATCH_PATHS", 2)
         assert ensemble_stats([self.spec()], workers=2) == ensemble_stats([self.spec()], workers=1)
 
     def test_batch_companions_do_not_change_a_realisation(self):
@@ -636,13 +637,22 @@ class TestMixedBatches:
             assert exact(log) == exact(run_realisation(specs[name], i))
 
     def test_block_order_and_batch_size_do_not_change_results(self, monkeypatch):
-        specs = [self.spec(name) for name in VARIANTS]
+        # twelve more inflation levels join base, inflation and bursary on the
+        # base failure table: one group of 15 blocks per index, more blocks
+        # than any bound below has paths
+        crowd = [self.spec("base", id=f"inflation{j}", shock=ShockConfig(lambda_inf=1 + j / 40))
+                 for j in range(1, 13)]
+        specs = [self.spec(name) for name in VARIANTS] + crowd
+        keys = [failure_table(spec).tobytes() for spec in specs]
+        assert keys.count(keys[0]) == 15
         default = ensemble_stats(specs)
         assert ensemble_stats(specs[::-1]) == default[::-1]
         for size in (1, 3, 10):
-            monkeypatch.setattr(scenario, "BATCH_REALISATIONS", size)
+            monkeypatch.setattr(scenario, "BATCH_PATHS", size)
+            assert max(len(batch) for batch in block_batches(specs, keys)) >= 15
             assert ensemble_stats(specs) == default
         assert default[0] == ensemble_stats([specs[0]])[0]
+        assert default[-1] == ensemble_stats([specs[-1]])[0]
 
     def test_blocks_of_one_index_share_a_cohort(self):
         logs = run_blocks([(self.spec("base"), 2), (self.spec("both"), 2)])
@@ -765,12 +775,12 @@ class TestRecordMatchesReference:
         # the reference reads the live state right after every semester
         reference = [[] for _ in blocks]
 
-        def spy(state, scenarios, *args):
-            rows, paths, slots, failed = advance_semester(state, scenarios, *args)
+        def spy(state, *args):
+            rows, paths, slots, failed = advance_semester(state, *args)
             # each decision row's slots and flags are those of its academic row
             position = {path: j for j, path in enumerate(paths.tolist())}
             at = np.array([position[a] for a in state.acad[rows].tolist()], np.intp)
-            for k in range(len(scenarios)):
+            for k in range(len(blocks)):
                 part = rows // n_agents == k
                 reference[k].extend(reference_semester_rows(
                     state, n_agents, rows[part], slots[at[part]], failed[at[part]], args[-1]))

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cohortsim.engine import TrajectoryLog
 from cohortsim.metrics import (
-    aggregate_stats, amplification, amplification_ci, hazard_curve, hazard_excess,
-    point_estimates, realisation_stats,
+    aggregate_stats, amplification, amplification_ci, amplification_surface, hazard_curve,
+    hazard_excess, point_estimates, realisation_stats,
 )
 from cohortsim.population import CAUSES, NO_CAUSE, STATUSES, DropoutCause, Status
 
@@ -206,6 +206,23 @@ class TestAmplificationCI:
                               float(str_only.mean()), float(base.mean()))
         assert amplification_ci(both, inf_only, str_only, base, 300, [42, 2]) == (
             point, (float(lo), float(hi)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 4),
+                           st.one_of(st.just(1), st.integers(2, 300))),
+           resamples=st.integers(1, 60), seed=st.integers(0, 2**32 - 1), discrete=st.booleans())
+    @example(shape=(3, 3, 1), resamples=10, seed=0, discrete=False)
+    def test_surface_matches_amplification_ci_per_cell(self, shape, resamples, seed, discrete):
+        rng = np.random.default_rng(seed)
+        # discrete rates, as dropout shares of a cohort are, give tied resample means
+        rates = rng.integers(0, 30, shape) / 30 if discrete else rng.uniform(0.0, 1.0, shape)
+        point, lo, hi = amplification_surface(rates, resamples, [seed, 2])
+        assert point.shape == lo.shape == hi.shape == shape[:2]
+        for a in range(shape[0]):
+            for b in range(shape[1]):
+                expected = amplification_ci(rates[a, b], rates[a, 0], rates[0, b], rates[0, 0],
+                                            resamples, [seed, 2])
+                assert (point[a, b], (lo[a, b], hi[a, b])) == expected
 
 
 class TestHazardExcess:

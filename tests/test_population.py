@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohortsim.engine import AgentBatch, advance_semester, failure_table
+from cohortsim.engine import AgentBatch, advance_semester, decision_inputs, failure_table
 from cohortsim.curriculum import default_curriculum
 from cohortsim.population import (
     ACADEMIC, DROPOUT, GRADUATED, NO_CAUSE, PopulationParams, Tercile,
@@ -194,7 +194,8 @@ class TestAgentStateTransitions:
         # zero draws: every attempt would fail and the hazard fire on an active row
         spec = ScenarioSpec()
         u = np.zeros((1, spec.course_load))
-        advance_semester(state, [spec], failure_table(spec)[3][None], u, u, np.zeros(1), 4)
+        advance_semester(state, spec, failure_table(spec)[3][None], *decision_inputs([spec]),
+                         u, u, np.zeros(1), 4)
         return state
 
     def test_dropout_is_terminal(self):

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ class TestRunEnsemble:
             run_ensemble(tiny_spec(), workers=workers)
 
     def test_a_given_pool_serves_every_call(self, monkeypatch):
-        monkeypatch.setattr(scenario, "BATCH_REALISATIONS", 2)
+        monkeypatch.setattr(scenario, "BATCH_PATHS", 2)
         with WorkerPool(2) as pool:
             first = run_ensemble(tiny_spec(), workers=pool)
             executor = pool._executor
@@ -89,12 +90,50 @@ class TestRunEnsemble:
 
 class TestBlockBatches:
     def test_blocks_of_equal_keys_sit_together_within_an_index(self, monkeypatch):
-        monkeypatch.setattr(scenario, "BATCH_REALISATIONS", 4)
+        monkeypatch.setattr(scenario, "BATCH_PATHS", 4)
         specs = [tiny_spec(n_realisations=n) for n in (2, 3, 2, 1)]
+        # index 0 has four groups, index 1 three: index 2's one group opens no batch
         assert block_batches(specs) == [[(0, 0), (1, 0), (2, 0), (3, 0)],
                                          [(0, 1), (1, 1), (2, 1), (1, 2)]]
+        # equal keys sit together and make one path: two per index, so index 2 waits
         assert block_batches(specs, ["a", "b", "a", "b"]) == [
-            [(0, 0), (2, 0), (1, 0), (3, 0)], [(0, 1), (2, 1), (1, 1), (1, 2)]]
+            [(0, 0), (2, 0), (1, 0), (3, 0), (0, 1), (2, 1), (1, 1)], [(1, 2)]]
+        # an index with more groups than the bound is split at group boundaries
+        monkeypatch.setattr(scenario, "BATCH_PATHS", 2)
+        assert block_batches(specs) == [[(0, 0), (1, 0)], [(2, 0), (3, 0)],
+                                         [(0, 1), (1, 1)], [(2, 1), (1, 2)]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(bound=st.integers(1, 6),
+           shape=st.lists(st.tuples(st.integers(1, 5), st.integers(0, 3)), min_size=1, max_size=9))
+    def test_no_group_spans_two_batches_and_the_path_bound_holds(self, bound, shape):
+        # shape: each spec's realisation count and key
+        specs = [tiny_spec(n_realisations=n) for n, _ in shape]
+        keys = [key for _, key in shape]
+        with mock.patch.object(scenario, "BATCH_PATHS", bound):
+            batches = block_batches(specs, keys)
+        # every block once, by index, and within an index in the order of the keys' first places
+        order = sorted(range(len(specs)), key=lambda k: keys.index(keys[k]))
+        assert [block for batch in batches for block in batch] == [
+            (k, i) for i in range(max(n for n, _ in shape))
+            for k in order if i < specs[k].n_realisations]
+        groups = [list(dict.fromkeys((i, keys[k]) for k, i in batch)) for batch in batches]
+        assert all(0 < len(g) <= bound for g in groups)
+        batch_of = {}
+        for b, gs in enumerate(groups):
+            for group in gs:
+                assert batch_of.setdefault(group, b) == b  # no group spans two batches
+        per_index = {}
+        for i, _ in batch_of:
+            per_index[i] = per_index.get(i, 0) + 1
+        for i, count in per_index.items():
+            # an index splits only when it has more groups than the bound
+            spanned = {b for (j, _), b in batch_of.items() if j == i}
+            assert len(spanned) == 1 or count > bound
+        for b in range(len(batches) - 1):
+            # a batch is cut only when it is full or the next index's groups do not fit
+            first = groups[b + 1][0][0]
+            assert len(groups[b]) == bound or len(groups[b]) + per_index[first] > bound
 
     def test_the_sweep_groups_its_cells_by_strike_multiplier(self):
         sweep = SweepSpec(lambda_inf_grid=(1.0, 1.2), lambda_str_grid=(1.0, 2.0),
@@ -132,8 +171,9 @@ class TestRunSweep:
         assert [r[:2] for r in rows] == [(1.0, 1.0), (1.0, 2.0), (1.2, 1.0), (1.2, 2.0)]
 
     def test_sweep_runs_as_blocks_of_shared_batches(self, monkeypatch):
-        # 49 cells x 3 realisations = 147 blocks, ordered by realisation index
-        # and then by cell, in batches of 10; each batch draws one cohort per index
+        # 49 cells x 3 realisations = 147 blocks; each index's 49 blocks hold
+        # 7 failure tables (one per strike multiplier), 7 academic paths, so
+        # each index is one batch that draws its cohort once
         events = []
         draw, advance = engine.generate_cohort, engine.advance_semester
 
@@ -156,13 +196,10 @@ class TestRunSweep:
             if kind == "cohort":
                 draws.append(value)
             else:
-                batches.append((len(np.unique(value.block)), draws))
+                batches.append((len(np.unique(value.block)), len(np.unique(value.group)), draws))
                 draws = []
         assert draws == []
-        assert [size for size, _ in batches] == [10] * 14 + [7]
-        for b, (_, seeds) in enumerate(batches):
-            indices = sorted({block // 49 for block in range(10 * b, min(10 * b + 10, 147))})
-            assert seeds == [base.base_seed ^ i for i in indices]
+        assert batches == [(49, 7, [base.base_seed ^ i]) for i in range(3)]
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="ascending"):
