@@ -34,8 +34,9 @@ from .engine import DecisionCoefficients, InterventionModifiers, ResilienceDynam
 from .metrics import point_estimates
 from .population import PopulationParams
 from .scenario import (
-    CALIBRATED_INTERVENTIONS, DEFAULT_BASE_SEED, INTERVENTION_LEVERS, ScenarioSpec,
-    WorkerPool, builtin_scenario, ensemble_stats, lever_interventions, worker_pool,
+    CALIBRATED_INTERVENTIONS, DEFAULT_BASE_SEED, DEFAULT_HORIZON, DEFAULT_N_AGENTS,
+    INTERVENTION_LEVERS, ScenarioSpec, WorkerPool, builtin_scenario, ensemble_stats,
+    lever_interventions, worker_pool,
 )
 
 #: One semester of median time-to-dropout error counts like 6 percentage
@@ -236,7 +237,8 @@ def _within_tolerance(simulated: Mapping[str, float],
 
 
 def evaluate_targets(params: FreeParameters, target_names: Sequence[str],
-                     n_realisations: int, n_agents: int = 300, horizon: int = 12,
+                     n_realisations: int, n_agents: int = DEFAULT_N_AGENTS,
+                     horizon: int = DEFAULT_HORIZON,
                      base_seed: int = DEFAULT_BASE_SEED, workers: int | WorkerPool = 1,
                      ) -> dict[str, float]:
     """Simulate every scenario the named targets require, in one ensemble call, and read them off.
@@ -365,7 +367,7 @@ def calibrate(targets: CalibrationTargets = CalibrationTargets(),
               bounds: Mapping[str, tuple[float, float]] | None = None,
               budget: int = 60, seed: int = 0, initial: FreeParameters | None = None,
               stage1_realisations: int = 30, full_realisations: int = 100,
-              n_agents: int = 300, horizon: int = 12,
+              n_agents: int = DEFAULT_N_AGENTS, horizon: int = DEFAULT_HORIZON,
               base_seed: int = DEFAULT_BASE_SEED,
               target_names: Sequence[str] | None = None,
               workers: int | WorkerPool = 1) -> CalibrationResult:

@@ -28,7 +28,7 @@ from .calibration import (
     targets_from_dict,
 )
 from .curriculum import (
-    CurriculumError, curriculum_from_dict, default_curriculum, ifc_table_rows,
+    CurriculumError, default_curriculum, ifc_table_rows,
     load_curriculum, standardised_ifc, validate_graph,
 )
 from .engine import TRAJECTORY_HEADER, realisation_cohort, run_blocks, trajectory_csv_rows
@@ -42,10 +42,9 @@ from .metrics import (
     curve_csv_rows, metrics_summary_rows, realisation_stats, sweep_csv_rows,
 )
 from .scenario import (
-    DEFAULT_BASE_SEED, ScenarioSpec, SweepSpec, WorkerPool, block_batches, builtin_scenario,
-    ensemble_stats, run_sweep,
-    scenario_from_dict, scenario_to_dict, sensitivity_run, spec_hash,
-    sweep_from_dict, sweep_to_dict, BUILTIN_SCENARIO_IDS,
+    DEFAULT_BASE_SEED, DEFAULT_N_AGENTS, ScenarioSpec, SweepSpec, WorkerPool, block_batches,
+    builtin_scenario, ensemble_stats, run_sweep, scenario_from_dict, scenario_to_dict,
+    sensitivity_run, spec_hash, sweep_from_dict, sweep_to_dict, BUILTIN_SCENARIO_IDS,
 )
 
 
@@ -181,7 +180,7 @@ def _out_dir(args) -> Path:
 
 def _cmd_validate(args) -> int:
     try:
-        graph, weights = load_curriculum(args.curriculum)
+        graph = load_curriculum(args.curriculum)
     except FileNotFoundError:
         raise CliInputError(f"{args.curriculum}: file not found") from None
     except (CurriculumError, json.JSONDecodeError) as exc:
@@ -191,7 +190,7 @@ def _cmd_validate(args) -> int:
         for v in violations:
             print(f"violation [{v.kind}] course {v.course_id}: {v.detail}", file=sys.stderr)
         return 1
-    table = ifc_table_rows(standardised_ifc(graph, weights))
+    table = ifc_table_rows(standardised_ifc(graph))
     header = ("id", "name", "cycle", "semester", "fail_rate", "retake_rate", "ifc_raw", "ifc")
     if args.out:
         out = _out_dir(args)
@@ -322,8 +321,7 @@ def _cmd_features(args) -> int:
         series = load_macro_series(args.inflation_csv, args.strikes_csv)
         students = load_student_records(args.students_csv, args.takings_csv)
         if args.curriculum:
-            graph, weights = load_curriculum(args.curriculum)
-            graph = standardised_ifc(graph, weights)
+            graph = standardised_ifc(load_curriculum(args.curriculum))
         else:
             graph = default_curriculum()
     except FileNotFoundError as exc:
@@ -485,7 +483,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--budget", type=_positive_int, default=60, help="objective evaluation budget")
     p.add_argument("--stage1-realisations", type=_positive_int, default=30)
     p.add_argument("--full-realisations", type=_positive_int, default=100)
-    p.add_argument("--n-agents", type=_positive_int, default=300)
+    p.add_argument("--n-agents", type=_positive_int, default=DEFAULT_N_AGENTS)
     add_common(p)
     p.set_defaults(func=_cmd_calibrate)
 

@@ -193,22 +193,23 @@ def validate_graph(graph: CurriculumGraph) -> list[GraphViolation]:
     return violations
 
 
-def compute_ifc_raw(course: Course, graph: CurriculumGraph, weights: IFCWeights = IFCWeights()) -> float:
-    """Weighted blend of failure rate, normalised in-degree and retake rate.
+def compute_ifc_raw(course: Course, graph: CurriculumGraph) -> float:
+    """Blend of failure rate, normalised in-degree and retake rate, by ``graph.ifc_weights``.
 
     The in-degree is normalised by the graph-wide maximum, so the result lies
-    in [0, 1] whenever the weights sum to 1.
+    in [0, 1].
     """
     if course.id not in graph:
         raise CurriculumError(f"course {course.id!r} is not part of the graph")
+    weights = graph.ifc_weights
     complexity = len(course.prerequisites) / graph.max_in_degree
     return weights.w1 * course.base_fail_rate + weights.w2 * complexity + weights.w3 * course.retake_rate
 
 
-def with_raw_ifc(graph: CurriculumGraph, weights: IFCWeights = IFCWeights()) -> CurriculumGraph:
+def with_raw_ifc(graph: CurriculumGraph) -> CurriculumGraph:
     """Return a copy of the graph with ``ifc_raw`` computed for every course."""
     return graph.replace_courses(
-        replace(c, ifc_raw=compute_ifc_raw(c, graph, weights)) for c in graph.courses
+        replace(c, ifc_raw=compute_ifc_raw(c, graph)) for c in graph.courses
     )
 
 
@@ -248,9 +249,9 @@ def standardise_ifc_within_cycle(graph: CurriculumGraph) -> CurriculumGraph:
     return graph.replace_courses(updated.values())
 
 
-def standardised_ifc(graph: CurriculumGraph, weights: IFCWeights = IFCWeights()) -> CurriculumGraph:
+def standardised_ifc(graph: CurriculumGraph) -> CurriculumGraph:
     """Compute raw IFC for all courses, then standardise within each cycle."""
-    return standardise_ifc_within_cycle(with_raw_ifc(graph, weights))
+    return standardise_ifc_within_cycle(with_raw_ifc(graph))
 
 
 def apply_curriculum_redesign(graph: CurriculumGraph, factor: float) -> CurriculumGraph:
@@ -338,14 +339,14 @@ def default_curriculum(weights: IFCWeights = IFCWeights()) -> CurriculumGraph:
                prerequisites=frozenset(pre), base_fail_rate=f, retake_rate=r)
         for i, n, cy, s, pre, f, r in _DEFAULT_COURSES
     ]
-    return standardised_ifc(CurriculumGraph(courses, weights), weights)
+    return standardised_ifc(CurriculumGraph(courses, weights))
 
 
 # ---------------------------------------------------------------------------
 # JSON interface
 # ---------------------------------------------------------------------------
 
-def curriculum_from_dict(doc: Mapping, *, path: str = "curriculum") -> tuple[CurriculumGraph, IFCWeights]:
+def curriculum_from_dict(doc: Mapping, *, path: str = "curriculum") -> CurriculumGraph:
     """Parse the curriculum JSON document; errors carry the offending field path."""
     if not isinstance(doc, Mapping):
         raise CurriculumError(f"{path}: expected an object")
@@ -390,12 +391,12 @@ def curriculum_from_dict(doc: Mapping, *, path: str = "curriculum") -> tuple[Cur
         except (TypeError, ValueError) as exc:
             raise CurriculumError(f"{where}: {exc}") from None
     try:
-        return CurriculumGraph(courses, weights), weights
+        return CurriculumGraph(courses, weights)
     except CurriculumError as exc:
         raise CurriculumError(f"{path}: {exc}") from None
 
 
-def load_curriculum(path: str | Path) -> tuple[CurriculumGraph, IFCWeights]:
+def load_curriculum(path: str | Path) -> CurriculumGraph:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     return curriculum_from_dict(doc, path=str(path))

@@ -45,7 +45,7 @@ threshold are recomputed with ``math.exp``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -554,17 +554,9 @@ def failure_table(scenario: "ScenarioSpec") -> np.ndarray:
                    0.0, MAX_FAIL_PROBABILITY)
 
 
-def _population(scenario: "ScenarioSpec"):
-    """The population parameters a scenario's cohorts are drawn with."""
-    population = scenario.population
-    if population.n_agents != scenario.n_agents:
-        population = replace(population, n_agents=scenario.n_agents)
-    return population
-
-
 def realisation_cohort(scenario: "ScenarioSpec", index: int) -> Cohort:
     """The cohort realisation ``index`` of ``scenario`` starts from: seed ``base_seed XOR index``."""
-    return generate_cohort(_population(scenario), scenario.base_seed ^ index)
+    return generate_cohort(scenario.population, scenario.n_agents, scenario.base_seed ^ index)
 
 
 #: What the specs of one batch must agree on.  Only ``shock``,
@@ -574,8 +566,6 @@ SHARED_FIELDS = ("n_agents", "horizon", "course_load", "base_seed", "population"
 
 
 def _shared_value(scenario: "ScenarioSpec", name: str):
-    if name == "population":
-        return _population(scenario)
     if name == "curriculum":  # a redesign changes rates and IFC only, never these
         return [(c.id, c.prerequisites) for c in _base_graph(scenario).courses]
     return getattr(scenario, name)

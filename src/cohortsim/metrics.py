@@ -23,6 +23,9 @@ from .population import CAUSES, DROPOUT, DropoutCause, Tercile, tercile_index
 
 EARLY_CYCLE_LAST_SEMESTER = 4
 
+#: Resamples behind every bootstrap confidence interval.
+BOOTSTRAP_RESAMPLES = 1000
+
 
 @dataclass(frozen=True)
 class RealisationStats:
@@ -152,8 +155,11 @@ def paired_bootstrap(r: int, resamples: int, seed) -> Callable[..., tuple]:
 
 
 def aggregate_stats(stats: Sequence[RealisationStats], horizon: int,
-                    bootstrap_resamples: int = 1000, bootstrap_seed: int = 0) -> RunMetrics:
-    """Aggregate per-realisation stats (ordered by index) into ensemble metrics."""
+                    bootstrap_resamples: int = BOOTSTRAP_RESAMPLES) -> RunMetrics:
+    """Aggregate per-realisation stats (ordered by index) into ensemble metrics.
+
+    The confidence intervals come from one :func:`paired_bootstrap` draw with seed 0.
+    """
     if not stats:
         raise ValueError("aggregate needs at least one realisation log")
     for s in stats:
@@ -166,7 +172,7 @@ def aggregate_stats(stats: Sequence[RealisationStats], horizon: int,
     dropouts = np.array([s.dropouts_by_semester for s in stats], dtype=float)
     at_risk = np.array([s.at_risk_by_semester for s in stats], dtype=float)
 
-    ci = paired_bootstrap(r, bootstrap_resamples, bootstrap_seed)
+    ci = paired_bootstrap(r, bootstrap_resamples, 0)
     cum = dropouts.cumsum(axis=1) / n_agents  # (r, horizon) cumulative fractions
     curve = [(t + 1, float(cum[:, t].mean()), *ci(cum[:, t])) for t in range(horizon)]
 
@@ -304,7 +310,6 @@ class SweepCell:
     d_early: float
     amplification: float
     amplification_ci: tuple[float, float]
-    d_total_by_realisation: tuple[float, ...]
 
 
 @dataclass(frozen=True)

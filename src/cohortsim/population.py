@@ -5,7 +5,7 @@ Pre-entry attributes are drawn to match the target population moments
 agent receives latent parameters driving persistence decisions: a resilience
 reserve in [0, 1] and a continuation-probability threshold.
 
-Generation is a pure function of (params, seed): the same inputs always
+Generation is a pure function of (params, size, seed): the same inputs always
 produce a bit-identical cohort, so realisations can run concurrently with
 distinct seeds.
 """
@@ -83,7 +83,7 @@ COPULA_ATTRIBUTES = (
 
 @dataclass(frozen=True)
 class PopulationParams:
-    """Cohort size plus marginal distributions of every generated attribute.
+    """Marginal distributions of every generated cohort attribute.
 
     Continuous attributes are normal draws clipped to their observed min/max;
     binary ones Bernoulli; parental education a rounded, clipped normal on
@@ -94,7 +94,6 @@ class PopulationParams:
     (``rho_*``, ``tau_*``) default to their calibrated values.
     """
 
-    n_agents: int = 300
     rho_mean: float = 0.5
     rho_sd: float = 0.18496119330533453
     tau_mean: float = 0.14191100279126706
@@ -114,8 +113,6 @@ class PopulationParams:
     rank_correlation: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n_agents < 1:
-            raise ValueError("n_agents must be >= 1")
         for name in ("rho_sd", "tau_sd", "age_sd", "gpa_sd", "parental_sd"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
@@ -149,11 +146,10 @@ def share_threshold(share: float) -> float:
     return NormalDist().inv_cdf(share)
 
 
-def generate_cohort(params: PopulationParams, rng_seed: int) -> Cohort:
-    """Draw a cohort of ``params.n_agents`` agents, deterministic in the seed."""
+def generate_cohort(params: PopulationParams, n_agents: int, rng_seed: int) -> Cohort:
+    """Draw a cohort of ``n_agents`` agents, deterministic in the seed."""
     rng = np.random.default_rng(rng_seed)
-    n = params.n_agents
-    z = rng.standard_normal((n, len(COPULA_ATTRIBUTES)))
+    z = rng.standard_normal((n_agents, len(COPULA_ATTRIBUTES)))
     if params.rank_correlation is not None:
         z = z @ np.linalg.cholesky(np.asarray(params.rank_correlation)).T
 

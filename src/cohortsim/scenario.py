@@ -39,8 +39,8 @@ from .engine import (
     check_shared, failure_table, run_blocks,
 )
 from .metrics import (
-    RunMetrics, SweepCell, SweepResult, aggregate_stats, amplification_ci, amplification_surface,
-    hazard_excess, point_estimates, realisation_stats, RealisationStats,
+    BOOTSTRAP_RESAMPLES, RunMetrics, SweepCell, SweepResult, aggregate_stats, amplification_ci,
+    amplification_surface, hazard_excess, point_estimates, realisation_stats, RealisationStats,
 )
 from .population import PopulationParams
 
@@ -91,6 +91,10 @@ class ScenarioSpec:
     curriculum: CurriculumGraph | None = None  # None = packaged default curriculum
 
     def __post_init__(self) -> None:
+        for name in ("n_agents", "n_realisations", "horizon", "base_seed", "course_load"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise _FieldError(f"{name}: expected an integer, got {value!r}")
         if self.n_agents < 1:
             raise ValueError("n_agents must be >= 1")
         if self.n_realisations < 1:
@@ -259,14 +263,13 @@ def ensemble_stats(specs: Sequence[ScenarioSpec],
     return stats
 
 
-def run_ensemble(spec: ScenarioSpec, workers: int | WorkerPool = 1,
-                 bootstrap_resamples: int = 1000) -> RunMetrics:
+def run_ensemble(spec: ScenarioSpec, workers: int | WorkerPool = 1) -> RunMetrics:
     """Run all realisations of a scenario and aggregate them.
 
     Deterministic per spec; the result does not depend on ``workers``.
     """
     stats = ensemble_stats([spec], workers)[0]
-    return aggregate_stats(stats, spec.horizon, bootstrap_resamples)
+    return aggregate_stats(stats, spec.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +287,7 @@ class SweepSpec:
     lambda_inf_grid: tuple[float, ...] = DEFAULT_LAMBDA_INF_GRID
     lambda_str_grid: tuple[float, ...] = DEFAULT_LAMBDA_STR_GRID
     base: ScenarioSpec = field(default_factory=ScenarioSpec)
-    bootstrap_resamples: int = 1000
+    bootstrap_resamples: int = BOOTSTRAP_RESAMPLES
 
     def __post_init__(self) -> None:
         for name, grid in (("lambda_inf_grid", self.lambda_inf_grid),
@@ -332,7 +335,6 @@ def run_sweep(sweep: SweepSpec, workers: int | WorkerPool = 1) -> SweepResult:
             d_total=point.d_total, d_early=point.d_early,
             amplification=float(amplification[j]),
             amplification_ci=(float(lo[j]), float(hi[j])),
-            d_total_by_realisation=tuple(d_total[j].tolist()),
         )
     return SweepResult(
         lambda_inf_grid=sweep.lambda_inf_grid,
@@ -415,8 +417,8 @@ def _apply_override(spec: ScenarioSpec, name: str, value) -> ScenarioSpec:
                      f"supported: {', '.join(SENSITIVITY_OVERRIDES)}")
 
 
-def _run_configuration(spec: ScenarioSpec, workers: WorkerPool, check_properties: bool,
-                       resamples: int = 1000) -> tuple[RunMetrics, QualitativeChecks | None]:
+def _run_configuration(spec: ScenarioSpec, workers: WorkerPool,
+                       check_properties: bool) -> tuple[RunMetrics, QualitativeChecks | None]:
     """Metrics of one configuration and, with ``check_properties``, its mechanism checks.
 
     The configuration runs in one :func:`ensemble_stats` call with its probes:
@@ -433,15 +435,14 @@ def _run_configuration(spec: ScenarioSpec, workers: WorkerPool, check_properties
               if check_properties else [])
     candidates = [spec, *probes]
     specs = [s for k, s in enumerate(candidates) if s not in candidates[:k]]
-    metrics = [aggregate_stats(stats, spec.horizon, resamples)
-               for stats in ensemble_stats(specs, workers)]
+    metrics = [aggregate_stats(stats, spec.horizon) for stats in ensemble_stats(specs, workers)]
     if not check_properties:
         return metrics[0], None
     m_base, m_inf, m_str, m_both, m_pulse = (metrics[specs.index(p)] for p in probes)
 
     a_point, a_ci = amplification_ci(
         *(m.d_total_by_realisation for m in (m_both, m_inf, m_str, m_base)),
-        resamples, [spec.base_seed, 3])
+        BOOTSTRAP_RESAMPLES, [spec.base_seed, 3])
 
     early_inc = m_str.d_early - m_base.d_early
     late_inc = m_str.d_late_conditional - m_base.d_late_conditional
@@ -540,7 +541,7 @@ def _build(cls, doc: Mapping, path: str):
         if key in _SECTIONS:
             value = _build(_SECTIONS[key], value, where)
         elif key == "curriculum" and value is not None:
-            value, _ = curriculum_from_dict(value, path=where)
+            value = curriculum_from_dict(value, path=where)
         elif key == "strike_schedule" and value is not None:
             try:
                 value = {int(k): float(v) for k, v in value.items()}

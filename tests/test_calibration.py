@@ -212,7 +212,6 @@ class TestFreeParameters:
         assert applied.coefficients.beta0 == -1.9
         assert applied.dynamics.d_fail == 0.033 and applied.dynamics.rho_floor == 0.2
         assert applied.population.tau_sd == 0.07
-        assert applied.population.n_agents == spec.population.n_agents
         assert (applied.id, applied.shock, applied.n_agents) == ("S6", spec.shock, 17)
 
     def test_component_invariants_still_enforced(self):

@@ -102,6 +102,25 @@ class TestRunCommand:
         assert run_cli("run", "--spec", spec_path, "--out", tmp_path / "x") == 1
         assert "scenario.shock.strike_schedule" in capsys.readouterr().err
 
+    def test_population_agent_count_is_an_unknown_field(self, tmp_path, capsys):
+        # the cohort size has one owner, the scenario's n_agents
+        out = tmp_path / "x"
+        assert run_cli("run", "--scenario", "S0", "--override", "population.n_agents=7",
+                       "--out", out) == 1
+        assert "scenario.population.n_agents: unknown field" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["2.5", "true"])
+    @pytest.mark.parametrize("name", ["n_agents", "n_realisations", "horizon", "base_seed",
+                                      "course_load"])
+    def test_non_integer_count_exits_one_before_any_artifact(self, tmp_path, capsys, name,
+                                                             value):
+        out = tmp_path / "x"
+        assert run_cli("run", "--scenario", "S0", "--override", f"{name}={value}",
+                       "--out", out) == 1
+        assert f"scenario.{name}: expected an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inline_curriculum_ifc_weights_replayed(self, tmp_path):
         curriculum = curriculum_to_dict(default_curriculum())
         curriculum["ifc_weights"] = {"w1": 0.6, "w2": 0.2, "w3": 0.2}
@@ -141,6 +160,12 @@ class TestSweepCommand:
         assert run_cli("sweep", "--spec", spec_path, "--out", out1) == 0
         assert run_cli("sweep", "--from-manifest", out1 / "manifest.json", "--out", out2) == 0
         assert read(out1 / "sweep_grid.csv") == read(out2 / "sweep_grid.csv")
+
+    def test_non_integer_base_count_exits_one_before_any_artifact(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli("sweep", "--override", "base.horizon=true", "--out", out) == 1
+        assert "sweep.base.horizon: expected an integer, got True" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -30,6 +30,10 @@ class TestComputeIfcRaw:
         # fail 0.5, in-degree 3/10, retake 0.2 with default weights
         assert compute_ifc_raw(g.course("target"), g) == pytest.approx(0.38, abs=1e-12)
 
+    def test_weights_come_from_the_graph(self):
+        g = CurriculumGraph(graph_with_max_indegree_10().courses, IFCWeights(1.0, 0.0, 0.0))
+        assert compute_ifc_raw(g.course("target"), g) == 0.5
+
     def test_zero_inputs(self):
         g = CurriculumGraph([course("a")])
         assert compute_ifc_raw(g.course("a"), g) == 0.0
@@ -218,13 +222,20 @@ class TestJsonInterface:
     def test_round_trip(self):
         g = default_curriculum()
         doc = curriculum_to_dict(g)
-        loaded, weights = curriculum_from_dict(doc)
-        assert weights == IFCWeights()
+        loaded = curriculum_from_dict(doc)
+        assert loaded.ifc_weights == IFCWeights()
         assert len(loaded) == len(g)
-        restored = standardised_ifc(loaded, weights)
+        restored = standardised_ifc(loaded)
         for a, b in zip(g.courses, restored.courses):
             assert a.id == b.id
             assert a.ifc == pytest.approx(b.ifc, abs=1e-12)
+
+    def test_round_trip_keeps_the_ifc_weights_bit_for_bit(self):
+        g = default_curriculum(IFCWeights(0.6, 0.2, 0.2))
+        restored = standardised_ifc(curriculum_from_dict(curriculum_to_dict(g)))
+        assert restored == g
+        assert [(c.ifc_raw.hex(), c.ifc.hex()) for c in restored.courses] == [
+            (c.ifc_raw.hex(), c.ifc.hex()) for c in g.courses]
 
     def test_error_paths_in_messages(self):
         with pytest.raises(CurriculumError, match=r"courses\[0\]\.cycle"):

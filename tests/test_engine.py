@@ -587,9 +587,8 @@ class TestBatching:
             assert record_lists(log) == record_lists(alone)
 
     def test_realisation_cohort_takes_the_spec_size_and_the_index_seed(self):
-        spec = self.spec(population=PopulationParams(n_agents=4))
-        cohort = realisation_cohort(spec, 3)
-        expected = generate_cohort(PopulationParams(n_agents=30), 5 ^ 3)
+        cohort = realisation_cohort(self.spec(), 3)
+        expected = generate_cohort(PopulationParams(), 30, 5 ^ 3)
         assert len(cohort) == 30
         for f in fields(cohort):
             assert np.array_equal(getattr(cohort, f.name), getattr(expected, f.name))

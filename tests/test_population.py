@@ -24,25 +24,24 @@ def clipped_normal_mean(mu, sd, lo, hi):
 
 class TestGenerateCohort:
     def test_deterministic_given_seed(self):
-        a = generate_cohort(PopulationParams(n_agents=50), 123)
-        b = generate_cohort(PopulationParams(n_agents=50), 123)
+        a = generate_cohort(PopulationParams(), 50, 123)
+        b = generate_cohort(PopulationParams(), 50, 123)
         assert cohort_csv_rows(a) == cohort_csv_rows(b)
 
     def test_different_seed_differs(self):
-        a = generate_cohort(PopulationParams(n_agents=50), 123)
-        b = generate_cohort(PopulationParams(n_agents=50), 124)
+        a = generate_cohort(PopulationParams(), 50, 123)
+        b = generate_cohort(PopulationParams(), 50, 124)
         assert cohort_csv_rows(a) != cohort_csv_rows(b)
 
     def test_secondary_gpa_mean(self):
-        cohort = generate_cohort(PopulationParams(n_agents=10_000), 7)
+        cohort = generate_cohort(PopulationParams(), 10_000, 7)
         mean = np.mean(cohort.secondary_gpa)
         assert mean == pytest.approx(7.8, abs=0.1)
 
     def test_moments_match_clipped_oracles(self):
-        params = PopulationParams(n_agents=10_000, rho_mean=0.5, rho_sd=0.15,
-                                  tau_mean=0.2, tau_sd=0.05)
-        cohort = generate_cohort(params, 11)
-        n = params.n_agents
+        params = PopulationParams(rho_mean=0.5, rho_sd=0.15, tau_mean=0.2, tau_sd=0.05)
+        n = 10_000
+        cohort = generate_cohort(params, n, 11)
         cases = [
             (cohort.age_at_entry, clipped_normal_mean(19.2, 2.8, 17, 34), 2.8),
             (cohort.secondary_gpa, clipped_normal_mean(7.8, 1.2, 5, 10), 1.2),
@@ -55,13 +54,13 @@ class TestGenerateCohort:
         assert np.mean(cohort.displaced) == pytest.approx(0.42, abs=0.02)
 
     def test_degenerate_resilience_sd(self):
-        cohort = generate_cohort(PopulationParams(n_agents=20, rho_mean=0.5, rho_sd=0.0), 5)
+        cohort = generate_cohort(PopulationParams(rho_mean=0.5, rho_sd=0.0), 20, 5)
         assert (cohort.resilience == 0.5).all()
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
     def test_all_values_within_bounds(self, seed):
-        cohort = generate_cohort(PopulationParams(n_agents=40), seed)
+        cohort = generate_cohort(PopulationParams(), 40, seed)
         assert len(cohort) == 40
         for _, age, gender, gpa, displaced, parental, rho, tau in cohort_csv_rows(cohort):
             assert 17.0 <= age <= 34.0
@@ -72,15 +71,15 @@ class TestGenerateCohort:
             assert 0.01 <= tau <= 0.5
 
     def test_agent_ids_stable(self):
-        cohort = generate_cohort(PopulationParams(n_agents=3), 0)
+        cohort = generate_cohort(PopulationParams(), 3, 0)
         assert [row[0] for row in cohort_csv_rows(cohort)] == ["a0000", "a0001", "a0002"]
 
 
 class TestShareThresholds:
     @pytest.mark.parametrize("male, displaced", [(0.0, 1.0), (1.0, 0.0)])
     def test_edge_shares_flag_nobody_or_everybody(self, male, displaced):
-        cohort = generate_cohort(PopulationParams(n_agents=5_000, male_share=male,
-                                                  displaced_share=displaced), 3)
+        cohort = generate_cohort(PopulationParams(male_share=male, displaced_share=displaced),
+                                 5_000, 3)
         assert (cohort.gender == int(male)).all()
         assert (cohort.displaced == int(displaced)).all()
 
@@ -114,18 +113,16 @@ class TestCorrelationHook:
         return tuple(tuple(1.0 if i == j else 0.0 for j in range(7)) for i in range(7))
 
     def test_identity_matches_independent_path(self):
-        base = generate_cohort(PopulationParams(n_agents=100), 42)
-        correlated = generate_cohort(
-            PopulationParams(n_agents=100, rank_correlation=self.identity()), 42)
+        base = generate_cohort(PopulationParams(), 100, 42)
+        correlated = generate_cohort(PopulationParams(rank_correlation=self.identity()), 100, 42)
         assert cohort_csv_rows(base) == cohort_csv_rows(correlated)
 
     def test_positive_latent_correlation_shows_up(self):
         # couple secondary GPA (index 2) with parental education (index 4)
         m = [list(row) for row in self.identity()]
         m[2][4] = m[4][2] = 0.7
-        params = PopulationParams(n_agents=4000,
-                                  rank_correlation=tuple(tuple(r) for r in m))
-        cohort = generate_cohort(params, 9)
+        params = PopulationParams(rank_correlation=tuple(tuple(r) for r in m))
+        cohort = generate_cohort(params, 4000, 9)
         r = np.corrcoef(cohort.secondary_gpa, cohort.parental_education)[0, 1]
         assert r > 0.4
 
@@ -143,8 +140,7 @@ class TestCorrelationHook:
         m = [list(row) for row in self.identity()]
         m[0][1] = m[1][0] = 1.5
         with pytest.raises(ValueError, match="positive definite"):
-            generate_cohort(PopulationParams(n_agents=5,
-                                             rank_correlation=tuple(tuple(r) for r in m)), 0)
+            generate_cohort(PopulationParams(rank_correlation=tuple(tuple(r) for r in m)), 5, 0)
 
     def test_non_positive_definite_rejected_on_construction(self):
         m = [list(row) for row in self.identity()]
@@ -188,7 +184,7 @@ class TestAgentStateTransitions:
     """Status transitions are one-way: an exited row stays as it left."""
 
     def exited(self, status, cause):
-        state = AgentBatch([generate_cohort(PopulationParams(n_agents=1), 1)],
+        state = AgentBatch([generate_cohort(PopulationParams(), 1, 1)],
                            default_curriculum())
         state.status[0], state.cause[0], state.exit_semester[0] = status, cause, 3
         # zero draws: every attempt would fail and the hazard fire on an active row
@@ -211,8 +207,9 @@ class TestAgentStateTransitions:
 
 class TestParamValidation:
     def test_n_agents_positive(self):
+        # the cohort size belongs to the scenario, which checks it
         with pytest.raises(ValueError):
-            PopulationParams(n_agents=0)
+            ScenarioSpec(n_agents=0)
 
     def test_negative_sd_rejected(self):
         with pytest.raises(ValueError):

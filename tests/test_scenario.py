@@ -177,9 +177,9 @@ class TestRunSweep:
         events = []
         draw, advance = engine.generate_cohort, engine.advance_semester
 
-        def counted_draw(population, seed):
+        def counted_draw(population, n_agents, seed):
             events.append(("cohort", seed))
-            return draw(population, seed)
+            return draw(population, n_agents, seed)
 
         def counted_advance(state, *args):
             if events[-1][0] != "batch" or events[-1][1] is not state:
@@ -328,7 +328,7 @@ def explicit_spec():
                                             financial_support_boost=0.05),
         n_agents=50, n_realisations=3, horizon=10, base_seed=7,
         population=PopulationParams(
-            n_agents=60, rho_mean=0.55, rho_sd=0.15, tau_mean=0.2, tau_sd=0.05,
+            rho_mean=0.55, rho_sd=0.15, tau_mean=0.2, tau_sd=0.05,
             age_mean=20.0, age_sd=2.5, age_min=17.5, age_max=33.0, male_share=0.7,
             gpa_mean=7.5, gpa_sd=1.25, gpa_min=5.5, gpa_max=9.5, displaced_share=0.4,
             parental_mean=3.0, parental_sd=1.0,
@@ -361,11 +361,11 @@ PINNED_SNAPSHOT = (
     '"curriculum_redesign_factor": 0.75, "financial_support_boost": 0.05}, "n_agents": 50, '
     '"n_realisations": 3, "population": {"age_max": 33.0, "age_mean": 20.0, "age_min": 17.5, '
     '"age_sd": 2.5, "displaced_share": 0.4, "gpa_max": 9.5, "gpa_mean": 7.5, "gpa_min": 5.5, '
-    '"gpa_sd": 1.25, "male_share": 0.7, "n_agents": 60, "parental_mean": 3.0, "parental_sd": '
-    '1.0, "rank_correlation": [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, '
-    '0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, '
-    '0.0], [0.0, 0.0, 0.5, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -0.25], [0.0, '
-    '0.0, 0.0, 0.0, 0.0, -0.25, 1.0]], "rho_mean": 0.55, "rho_sd": 0.15, "tau_mean": 0.2, '
+    '"gpa_sd": 1.25, "male_share": 0.7, "parental_mean": 3.0, "parental_sd": 1.0, '
+    '"rank_correlation": [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0, '
+    '0.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0], '
+    '[0.0, 0.0, 0.5, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -0.25], [0.0, 0.0, '
+    '0.0, 0.0, 0.0, -0.25, 1.0]], "rho_mean": 0.55, "rho_sd": 0.15, "tau_mean": 0.2, '
     '"tau_sd": 0.05}, "shock": {"alpha_str_eff": 0.45, "alpha_str_literal": 0.2, '
     '"delta_inf_eff": 0.35, "delta_inf_literal": 0.04, "lambda_inf": 1.15, "lambda_str": '
     '1.75, "shock_form": "paper-literal", "strike_schedule": {"1": 2.5, "10": 1.5}}}'
@@ -410,7 +410,7 @@ def specs_with_horizon(horizon):
         horizon=st.just(horizon), base_seed=st.integers(0, 2**40),
         course_load=st.integers(1, 8),
         population=st.builds(
-            PopulationParams, n_agents=st.integers(1, 1000), rho_mean=unit, rho_sd=unit,
+            PopulationParams, rho_mean=unit, rho_sd=unit,
             tau_mean=unit, tau_sd=unit, male_share=unit,
             rank_correlation=st.none() | st.floats(-0.9, 0.9).map(
                 lambda c: identity_with((2, 4, c)))),
