@@ -37,7 +37,7 @@ GOLDEN = {
 TRAJECTORY_RUN_FILES = {
     "cohort.csv": "65ef41dd374f3b4d00809ef928903b248989bd93a705770c10d15b3a568114df",
     "dropout_curve.csv": "5eaae959e7addda7b911a37ed1be97eb3e4f6a9326fb7d7ea745d0f9753c24b2",
-    "manifest.json": "caec082ef06cde7185014d28886a1b39d9b29c06dc2098be15a4f8f4db82da74",
+    "manifest.json": "927c752c6698e4fa98de7a11928df4601d36d7e5f32bb7edd3915c1b7f36c539",
     "metrics_summary.csv": "01910315d3dea8cf4190fb8c793434eacbb67cce239a934b49430caf5cf12bb6",
     "trajectories.csv": "1679891142654f1b88b5c89b90d67cfa92feb10626c7ddd41ba9e3ff5a4fe26a",
 }
@@ -45,7 +45,7 @@ TRAJECTORY_RUN_FILES = {
 #: sha256 of every file written by ``sweep`` over the default 7x7 grid at
 #: 40 agents x 3 realisations, at any ``--workers``.
 SWEEP_RUN_FILES = {
-    "manifest.json": "e86169e0925b1ed3a42e77703e51f58ce0546fee1edc6638acb49676bd0329ee",
+    "manifest.json": "d00f3869db564e9558f939db6940c25b7eac08820cf74813b29130f67da4e8c6",
     "sweep_grid.csv": "50c1e4635134d2f178b9aa209700c363100032ef7b55992f90a49a63d07d25e6",
 }
 
@@ -55,14 +55,14 @@ SWEEP_RUN_FILES = {
 #: the mechanism probes is the configuration itself.
 SENSITIVITY_FILES = {
     "S0": {
-        "manifest.json": "4bfaa1cfe17c19576cf007fb79e41329d4df531b551125ec33b187317bc1d46f",
+        "manifest.json": "7bf54ef44017a851cea77e054127daa96ecd6731794458ac9cdc36e38441fb31",
         "sensitivity_report.json":
             "077b1c17e87a091fa7385d3ed98131a499f27b3631a632a4c75e5b1c363f911e",
         "sensitivity_summary.csv":
             "75ae7a19f3393749776602f716ff6872dc5efcc8f4cd7cb6e8e7c8e7577d690a",
     },
     "S7": {
-        "manifest.json": "796393106ee73f233aed1d5bd0a4343d7b46661e37f54a319d0f8a861a46b1da",
+        "manifest.json": "f47fff1b0a0e43bdfaffa625ebd708bf80080d5309756128fb86fa537a879a0b",
         "sensitivity_report.json":
             "223b04b8da235953a18e194ba5f6d2b7e7d8491b8f1a2b26b881b723619ba3e6",
         "sensitivity_summary.csv":
