@@ -385,7 +385,7 @@ def _cmd_sensitivity(args) -> int:
         try:
             overrides.append((name, json.loads(raw)))
         except json.JSONDecodeError:
-            overrides.append((name, raw))
+            raise CliInputError(f"--vary {name}: expected a number, got {raw!r}") from None
     try:
         report = sensitivity_run(spec, overrides, args.workers,
                                  check_properties=not args.no_properties)

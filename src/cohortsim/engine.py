@@ -15,11 +15,9 @@ Two shock mechanisms modify the baseline:
 * strikes: a multiplier ``lambda_str`` that inflates failure probabilities in
   basic-cycle courses only (an acute, proximal stressor).
 
-Both default to the centred-linear form, which is neutral at lambda = 1 and
+Both take the centred-linear form, which is neutral at lambda = 1 and
 matches the calibrated anchors (lambda_inf = 1.2 gives 6% extra depletion per
-semester, lambda_str = 2 gives +50% basic-cycle friction).  The alternative
-``paper-literal`` form (1 + 0.25 * lambda_str and 1 - 0.03 * lambda_inf,
-which is not neutral at lambda = 1) is kept for sensitivity analysis.
+semester, lambda_str = 2 gives +50% basic-cycle friction).
 
 Many realisations advance together as one struct of arrays
 (:class:`AgentBatch`, courses as bitmasks).  The unit of a batch is a
@@ -62,9 +60,6 @@ from .population import (
 if TYPE_CHECKING:
     from .scenario import ScenarioSpec
 
-LINEAR_CENTRED = "linear-centred"
-PAPER_LITERAL = "paper-literal"
-
 #: Hard ceiling on any per-attempt failure probability, so extreme sweeps
 #: never create absorbing-state courses.
 MAX_FAIL_PROBABILITY = 0.95
@@ -85,19 +80,13 @@ class ShockConfig:
     lambda_str: float = 1.0
     delta_inf_eff: float = 0.3  # resilience depletion per unit of (lambda_inf - 1)
     alpha_str_eff: float = 0.5  # friction gain per unit of (lambda_str - 1)
-    delta_inf_literal: float = 0.03  # literal-form depletion coefficient
-    alpha_str_literal: float = 0.25  # literal-form friction coefficient
     strike_schedule: Mapping[int, float] | None = None
-    shock_form: str = LINEAR_CENTRED
 
     def __post_init__(self) -> None:
         if self.lambda_inf < 1.0 or self.lambda_str < 1.0:
             raise ValueError("shock multipliers must be >= 1")
-        if min(self.delta_inf_eff, self.alpha_str_eff,
-               self.delta_inf_literal, self.alpha_str_literal) < 0.0:
+        if min(self.delta_inf_eff, self.alpha_str_eff) < 0.0:
             raise ValueError("shock slopes must be >= 0")
-        if self.shock_form not in (LINEAR_CENTRED, PAPER_LITERAL):
-            raise ValueError(f"unknown shock_form {self.shock_form!r}")
         if self.strike_schedule is not None:
             sched = {int(k): float(v) for k, v in self.strike_schedule.items()}
             if any(k < 1 for k in sched):
@@ -236,17 +225,12 @@ def strike_multipliers(config: ShockConfig, horizon: int) -> np.ndarray:
     """
     schedule = config.strike_schedule or {}
     lam = np.array([schedule.get(t, config.lambda_str) for t in range(1, horizon + 1)])
-    if config.shock_form == PAPER_LITERAL:
-        return 1.0 + config.alpha_str_literal * lam
     return 1.0 + config.alpha_str_eff * (lam - 1.0)
 
 
 def inflation_depletion_factor(config: ShockConfig) -> float:
     """Multiplicative per-semester resilience factor; 1.0 when lambda_inf is 1."""
-    if config.shock_form == PAPER_LITERAL:
-        factor = 1.0 - config.delta_inf_literal * config.lambda_inf
-    else:
-        factor = 1.0 - config.delta_inf_eff * (config.lambda_inf - 1.0)
+    factor = 1.0 - config.delta_inf_eff * (config.lambda_inf - 1.0)
     return min(1.0, max(0.0, factor))
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from .curriculum import CurriculumGraph, curriculum_from_dict, curriculum_to_dict
 from .engine import (
     DecisionCoefficients, InterventionModifiers, ResilienceDynamics, ShockConfig,
-    LINEAR_CENTRED, PAPER_LITERAL, DEFAULT_COURSE_LOAD,
+    DEFAULT_COURSE_LOAD,
     check_shared, failure_table, run_blocks,
 )
 from .metrics import (
@@ -287,7 +287,6 @@ class SweepSpec:
     lambda_inf_grid: tuple[float, ...] = DEFAULT_LAMBDA_INF_GRID
     lambda_str_grid: tuple[float, ...] = DEFAULT_LAMBDA_STR_GRID
     base: ScenarioSpec = field(default_factory=ScenarioSpec)
-    bootstrap_resamples: int = BOOTSTRAP_RESAMPLES
 
     def __post_init__(self) -> None:
         for name, grid in (("lambda_inf_grid", self.lambda_inf_grid),
@@ -303,9 +302,6 @@ class SweepSpec:
             if values[0] != 1.0:
                 raise ValueError(f"{name} must start at 1.0 (amplification baseline)")
             object.__setattr__(self, name, values)
-        object.__setattr__(self, "bootstrap_resamples", int(self.bootstrap_resamples))
-        if self.bootstrap_resamples < 1:
-            raise ValueError("bootstrap_resamples must be >= 1")
 
 
 def run_sweep(sweep: SweepSpec, workers: int | WorkerPool = 1) -> SweepResult:
@@ -325,7 +321,7 @@ def run_sweep(sweep: SweepSpec, workers: int | WorkerPool = 1) -> SweepResult:
     shape = (len(sweep.lambda_inf_grid), len(sweep.lambda_str_grid), base.n_realisations)
     # the surface in grid order, one entry per point
     amplification, lo, hi = (a.ravel() for a in amplification_surface(
-        d_total.reshape(shape), sweep.bootstrap_resamples, [base.base_seed, 2]))
+        d_total.reshape(shape), BOOTSTRAP_RESAMPLES, [base.base_seed, 2]))
 
     cells: dict[tuple[float, float], SweepCell] = {}
     for j, ((li, ls), stats) in enumerate(zip(grid, per_point)):
@@ -351,7 +347,7 @@ def run_sweep(sweep: SweepSpec, workers: int | WorkerPool = 1) -> SweepResult:
 # Sensitivity analysis
 # ---------------------------------------------------------------------------
 
-SENSITIVITY_OVERRIDES = ("rho_mean", "rho_sd", "tau_scale", "n_realisations", "shock_form")
+SENSITIVITY_OVERRIDES = ("rho_mean", "rho_sd", "tau_scale", "n_realisations")
 
 #: The single-semester strike pulse whose lagged dropout excess the checks probe.
 STRIKE_PULSE = {1: 2.5}
@@ -374,7 +370,7 @@ class QualitativeChecks:
 @dataclass(frozen=True)
 class OverrideResult:
     name: str
-    value: float | str
+    value: float
     metrics: RunMetrics
     delta_d_total: float
     delta_d_early: float
@@ -390,9 +386,16 @@ class SensitivityReport:
 
 
 def _apply_override(spec: ScenarioSpec, name: str, value) -> ScenarioSpec:
+    if name not in SENSITIVITY_OVERRIDES:
+        raise ValueError(f"unknown sensitivity override {name!r}; "
+                         f"supported: {', '.join(SENSITIVITY_OVERRIDES)}")
+    integral = name == "n_realisations"
+    if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+        raise ValueError(f"{name}: expected {'an integer' if integral else 'a number'}, "
+                         f"got {value!r}")
     if name in ("rho_mean", "rho_sd"):
         current = getattr(spec.population, name)
-        if abs(float(value) - current) > 0.2 * abs(current) + 1e-12:
+        if not abs(float(value) - current) <= 0.2 * abs(current) + 1e-12:  # NaN fails too
             raise ValueError(f"{name} override must stay within +-20% of {current}")
         return replace(spec, population=replace(spec.population, **{name: float(value)}))
     if name == "tau_scale":
@@ -404,17 +407,9 @@ def _apply_override(spec: ScenarioSpec, name: str, value) -> ScenarioSpec:
             tau_mean=spec.population.tau_mean * scale,
             tau_sd=spec.population.tau_sd * scale,
         ))
-    if name == "n_realisations":
-        n = int(value)
-        if n not in (100, 500):
-            raise ValueError("n_realisations override must be 100 or 500")
-        return replace(spec, n_realisations=n)
-    if name == "shock_form":
-        if value not in (LINEAR_CENTRED, PAPER_LITERAL):
-            raise ValueError(f"shock_form must be one of {LINEAR_CENTRED!r}, {PAPER_LITERAL!r}")
-        return replace(spec, shock=replace(spec.shock, shock_form=str(value)))
-    raise ValueError(f"unknown sensitivity override {name!r}; "
-                     f"supported: {', '.join(SENSITIVITY_OVERRIDES)}")
+    if value not in (100, 500):
+        raise ValueError("n_realisations override must be 100 or 500")
+    return replace(spec, n_realisations=value)
 
 
 def _run_configuration(spec: ScenarioSpec, workers: WorkerPool,
@@ -481,7 +476,7 @@ def sensitivity_run(spec: ScenarioSpec,
     results = tuple(
         OverrideResult(
             name=name,
-            value=value if isinstance(value, str) else float(value),
+            value=float(value),
             metrics=metrics,
             delta_d_total=metrics.d_total - base_metrics.d_total,
             delta_d_early=metrics.d_early - base_metrics.d_early,

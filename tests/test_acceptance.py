@@ -251,8 +251,7 @@ def test_criterion_11_determinism(tmp_path):
     students.write_text("student_id,entry_month,entry_semester\ns1,24,1\n")
     sweep_doc = sweep_to_dict(SweepSpec(
         lambda_inf_grid=(1.0, 1.2), lambda_str_grid=(1.0, 2.0),
-        base=ScenarioSpec(n_agents=25, n_realisations=3, horizon=4),
-        bootstrap_resamples=20))
+        base=ScenarioSpec(n_agents=25, n_realisations=3, horizon=4)))
     sweep_path = tmp_path / "sweep.json"
     sweep_path.write_text(json.dumps(sweep_doc))
 

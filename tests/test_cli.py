@@ -139,8 +139,7 @@ class TestRunCommand:
 class TestSweepCommand:
     def test_tiny_grid(self, tmp_path):
         spec = SweepSpec(lambda_inf_grid=(1.0, 1.2), lambda_str_grid=(1.0, 2.0),
-                         base=ScenarioSpec(n_agents=25, n_realisations=3, horizon=4),
-                         bootstrap_resamples=20)
+                         base=ScenarioSpec(n_agents=25, n_realisations=3, horizon=4))
         spec_path = tmp_path / "sweep.json"
         spec_path.write_text(json.dumps(sweep_to_dict(spec)))
         out = tmp_path / "sweep"
@@ -152,8 +151,7 @@ class TestSweepCommand:
 
     def test_sweep_manifest_round_trip(self, tmp_path):
         spec = SweepSpec(lambda_inf_grid=(1.0, 1.1), lambda_str_grid=(1.0, 1.5),
-                         base=ScenarioSpec(n_agents=20, n_realisations=2, horizon=3),
-                         bootstrap_resamples=10)
+                         base=ScenarioSpec(n_agents=20, n_realisations=2, horizon=3))
         spec_path = tmp_path / "sweep.json"
         spec_path.write_text(json.dumps(sweep_to_dict(spec)))
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -166,6 +164,38 @@ class TestSweepCommand:
         assert run_cli("sweep", "--override", "base.horizon=true", "--out", out) == 1
         assert "sweep.base.horizon: expected an integer, got True" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["2.5", "true"])
+    def test_resample_count_is_an_unknown_field(self, tmp_path, capsys, value):
+        # every bootstrap draws metrics.BOOTSTRAP_RESAMPLES resamples
+        out = tmp_path / "x"
+        assert run_cli("sweep", "--override", "base.n_realisations=2",
+                       "--override", f"bootstrap_resamples={value}", "--out", out) == 1
+        assert "sweep.bootstrap_resamples: unknown field" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("run", "scenario", "shock.shock_form", "linear-centred"),
+    ("sensitivity", "scenario", "shock.shock_form", "linear-centred"),
+    ("sweep", "sweep", "base.shock.shock_form", "linear-centred"),
+    ("sweep", "sweep", "bootstrap_resamples", 1000),
+])
+def test_manifest_with_a_removed_key_exits_one(tmp_path, capsys, command, section, key, value):
+    base = ScenarioSpec(n_agents=20, n_realisations=2, horizon=3)
+    snapshot = scenario_to_dict(base) if section == "scenario" else sweep_to_dict(
+        SweepSpec(lambda_inf_grid=(1.0,), lambda_str_grid=(1.0,), base=base))
+    *parents, name = key.split(".")
+    node = snapshot
+    for part in parents:
+        node = node[part]
+    node[name] = value
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"parameters": {section: snapshot}}))
+    out = tmp_path / "x"
+    assert run_cli(command, "--from-manifest", manifest, "--out", out) == 1
+    assert f"{section}.{key}: unknown field" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -581,6 +611,21 @@ class TestSensitivityCommand:
         assert run_cli("sensitivity", "--scenario", "S0", "--out", tmp_path,
                        "--vary", "tau_scale=9", "--no-properties", *TINY) == 1
         assert "tau_scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vary, message", [
+        ("tau_scale=true", "tau_scale: expected a number, got True"),
+        ("n_realisations=100.5", "n_realisations: expected an integer, got 100.5"),
+        ('rho_sd="0.15"', "rho_sd: expected a number, got '0.15'"),
+        ("tau_scale=abc", "--vary tau_scale: expected a number, got 'abc'"),
+        ("rho_mean=NaN", "rho_mean override must stay within"),
+    ])
+    def test_non_numeric_value_exits_one_before_any_artifact(self, tmp_path, capsys, vary,
+                                                             message):
+        out = tmp_path / "sens"
+        assert run_cli("sensitivity", "--scenario", "S0", "--out", out, "--vary", vary,
+                       "--no-properties", *TINY) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_later_override_exits_one_before_running(self, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):

@@ -12,7 +12,7 @@ from cohortsim.engine import (
     AgentBatch, DecisionCoefficients, InterventionModifiers, ResilienceDynamics, ShockConfig,
     advance_semester, continuation_probabilities, decision_inputs, effective_graph, failure_table,
     grade_attempts, inflation_depletion_factor, realisation_cohort, run_blocks, run_realisation,
-    select_courses, strike_multipliers, trajectory_csv_rows, PAPER_LITERAL,
+    select_courses, strike_multipliers, trajectory_csv_rows,
 )
 from cohortsim.featurelab import FeatureError, student_records_from_log
 from cohortsim.population import (
@@ -122,10 +122,6 @@ class TestStrikeFriction:
         assert strike_multipliers(config, 2) == pytest.approx([1.75, 1.0])
         assert table_entry(basic_course(fail=0.4), 2, shock=config) == 0.4
 
-    def test_paper_literal_form_is_not_neutral(self):
-        config = ShockConfig(lambda_str=1.0, shock_form=PAPER_LITERAL)
-        assert strike_multipliers(config, 1)[0] == pytest.approx(1.25)
-
     def test_table_entries_compose_rate_strike_and_support(self):
         shock = ShockConfig(lambda_str=1.7, strike_schedule={2: 3.0, 4: 1.0})
         interventions = InterventionModifiers(academic_support_factor=0.8)
@@ -152,13 +148,19 @@ class TestInflationDepletion:
         assert inflation_depletion_factor(ShockConfig(lambda_inf=lam)) == pytest.approx(
             expected, abs=1e-12)
 
-    def test_paper_literal_form(self):
-        config = ShockConfig(lambda_inf=1.0, shock_form=PAPER_LITERAL)
-        assert inflation_depletion_factor(config) == pytest.approx(0.97)
-
     def test_factor_clipped_to_unit_interval(self):
         config = ShockConfig(lambda_inf=5.0, delta_inf_eff=0.3)
         assert inflation_depletion_factor(config) == 0.0
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ShockConfig)])
+def test_every_shock_field_reaches_the_engine(name):
+    # a shock field that neither the failure table nor the decision inputs read is dead
+    spec = builtin_scenario("S7")
+    value = {1: 3.0} if name == "strike_schedule" else getattr(spec.shock, name) + 0.1
+    other = replace(spec, shock=replace(spec.shock, **{name: value}))
+    reads = [(failure_table(s), *decision_inputs([s])) for s in (spec, other)]
+    assert not all(np.array_equal(a, b) for a, b in zip(*reads))
 
 
 class TestAttemptCourse:
@@ -609,7 +611,6 @@ VARIANTS = {
     "strikes": dict(shock=ShockConfig(lambda_str=2.0)),
     "both": dict(shock=ShockConfig(lambda_inf=1.3, lambda_str=2.5)),
     "pulse": dict(shock=ShockConfig(strike_schedule={1: 2.5})),
-    "literal": dict(shock=ShockConfig(shock_form=PAPER_LITERAL)),
     "tutoring": dict(interventions=InterventionModifiers(academic_support_factor=0.7)),
     "redesign": dict(interventions=InterventionModifiers(curriculum_redesign_factor=0.6)),
     "bursary": dict(interventions=InterventionModifiers(financial_support_boost=0.1)),

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cohortsim import engine, scenario
 from cohortsim.curriculum import Course, CurriculumGraph, Cycle, IFCWeights
 from cohortsim.engine import (
-    DecisionCoefficients, InterventionModifiers, LINEAR_CENTRED, PAPER_LITERAL,
-    ResilienceDynamics, ShockConfig,
+    DecisionCoefficients, InterventionModifiers, ResilienceDynamics, ShockConfig,
 )
 from cohortsim.metrics import sweep_csv_rows
 from cohortsim.population import PopulationParams
@@ -149,7 +148,7 @@ class TestBlockBatches:
 class TestRunSweep:
     def sweep(self):
         return SweepSpec(lambda_inf_grid=(1.0, 1.2), lambda_str_grid=(1.0, 2.0),
-                         base=tiny_spec(), bootstrap_resamples=50)
+                         base=tiny_spec())
 
     def test_grid_complete_and_axes_exactly_zero(self):
         result = run_sweep(self.sweep())
@@ -189,7 +188,7 @@ class TestRunSweep:
         monkeypatch.setattr(engine, "generate_cohort", counted_draw)
         monkeypatch.setattr(engine, "advance_semester", counted_advance)
         base = ScenarioSpec(n_agents=20, n_realisations=3, base_seed=5)
-        run_sweep(SweepSpec(base=base, bootstrap_resamples=10))
+        run_sweep(SweepSpec(base=base))
 
         batches, draws = [], []
         for kind, value in events:
@@ -230,15 +229,10 @@ class TestSensitivityRun:
         with pytest.raises(ValueError, match="100 or 500"):
             sensitivity_run(tiny_spec(), {"n_realisations": 50}, check_properties=False)
 
-    def test_unknown_override_rejected(self):
-        with pytest.raises(ValueError, match="unknown sensitivity override"):
-            sensitivity_run(tiny_spec(), {"nonsense": 1}, check_properties=False)
-
-    def test_shock_form_override(self):
-        spec = tiny_spec()
-        report = sensitivity_run(spec, {"shock_form": PAPER_LITERAL}, check_properties=False)
-        # the literal form is not neutral at lambda = 1, so the baseline shifts
-        assert report.results[0].metrics != report.base_metrics
+    @pytest.mark.parametrize("name, value", [("nonsense", 1), ("shock_form", "paper-literal")])
+    def test_unknown_override_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"unknown sensitivity override '{name}'"):
+            sensitivity_run(tiny_spec(), {name: value}, check_properties=False)
 
 
 def recorded_calls(monkeypatch, fail=False):
@@ -261,7 +255,7 @@ def up_to_id(spec):
 
 
 class TestSensitivityEnsembleCalls:
-    overrides = [("tau_scale", 0.8), ("shock_form", PAPER_LITERAL)]
+    overrides = [("tau_scale", 0.8), ("tau_scale", 1.2)]
 
     @pytest.mark.parametrize("base, per_call", [
         (tiny_spec(), 5),  # unshocked: the S0 probe is the configuration
@@ -321,8 +315,7 @@ def explicit_spec():
     return ScenarioSpec(
         id="pinned",
         shock=ShockConfig(lambda_inf=1.15, lambda_str=1.75, delta_inf_eff=0.35,
-                          alpha_str_eff=0.45, delta_inf_literal=0.04, alpha_str_literal=0.2,
-                          strike_schedule={1: 2.5, 10: 1.5}, shock_form=PAPER_LITERAL),
+                          alpha_str_eff=0.45, strike_schedule={1: 2.5, 10: 1.5}),
         interventions=InterventionModifiers(academic_support_factor=0.9,
                                             curriculum_redesign_factor=0.75,
                                             financial_support_boost=0.05),
@@ -366,9 +359,8 @@ PINNED_SNAPSHOT = (
     '0.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0], '
     '[0.0, 0.0, 0.5, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -0.25], [0.0, 0.0, '
     '0.0, 0.0, 0.0, -0.25, 1.0]], "rho_mean": 0.55, "rho_sd": 0.15, "tau_mean": 0.2, '
-    '"tau_sd": 0.05}, "shock": {"alpha_str_eff": 0.45, "alpha_str_literal": 0.2, '
-    '"delta_inf_eff": 0.35, "delta_inf_literal": 0.04, "lambda_inf": 1.15, "lambda_str": '
-    '1.75, "shock_form": "paper-literal", "strike_schedule": {"1": 2.5, "10": 1.5}}}'
+    '"tau_sd": 0.05}, "shock": {"alpha_str_eff": 0.45, "delta_inf_eff": 0.35, '
+    '"lambda_inf": 1.15, "lambda_str": 1.75, "strike_schedule": {"1": 2.5, "10": 1.5}}}'
 )
 
 
@@ -400,8 +392,7 @@ def specs_with_horizon(horizon):
         id=st.text(min_size=1, max_size=8),
         shock=st.builds(
             ShockConfig, lambda_inf=multiplier, lambda_str=multiplier, delta_inf_eff=unit,
-            alpha_str_eff=unit, strike_schedule=schedules,
-            shock_form=st.sampled_from([LINEAR_CENTRED, PAPER_LITERAL])),
+            alpha_str_eff=unit, strike_schedule=schedules),
         interventions=st.builds(InterventionModifiers,
                                 academic_support_factor=st.floats(0.01, 1.0),
                                 curriculum_redesign_factor=st.floats(0.01, 1.0),
@@ -446,7 +437,7 @@ class TestSerialisation:
 
     def test_sweep_round_trip(self):
         sweep = SweepSpec(lambda_inf_grid=(1.0, 1.1), lambda_str_grid=(1.0, 1.5),
-                          base=tiny_spec(), bootstrap_resamples=12)
+                          base=tiny_spec())
         assert sweep_from_dict(sweep_to_dict(sweep)) == sweep
 
     def test_unknown_field_path_in_error(self):
