@@ -37,7 +37,7 @@ GOLDEN = {
 TRAJECTORY_RUN_FILES = {
     "cohort.csv": "65ef41dd374f3b4d00809ef928903b248989bd93a705770c10d15b3a568114df",
     "dropout_curve.csv": "5eaae959e7addda7b911a37ed1be97eb3e4f6a9326fb7d7ea745d0f9753c24b2",
-    "manifest.json": "927c752c6698e4fa98de7a11928df4601d36d7e5f32bb7edd3915c1b7f36c539",
+    "manifest.json": "3bdd2fea9121cfa71bda673add9a13b7c57ea9920f40f7a1d82d23fc931db469",
     "metrics_summary.csv": "01910315d3dea8cf4190fb8c793434eacbb67cce239a934b49430caf5cf12bb6",
     "trajectories.csv": "1679891142654f1b88b5c89b90d67cfa92feb10626c7ddd41ba9e3ff5a4fe26a",
 }
@@ -45,28 +45,28 @@ TRAJECTORY_RUN_FILES = {
 #: sha256 of every file written by ``sweep`` over the default 7x7 grid at
 #: 40 agents x 3 realisations, at any ``--workers``.
 SWEEP_RUN_FILES = {
-    "manifest.json": "d00f3869db564e9558f939db6940c25b7eac08820cf74813b29130f67da4e8c6",
+    "manifest.json": "0e3801d15c8f741455d9427178a3690aaec335483d2735df28807a19522c24cb",
     "sweep_grid.csv": "50c1e4635134d2f178b9aa209700c363100032ef7b55992f90a49a63d07d25e6",
 }
 
 #: sha256 of every file written by ``sensitivity --scenario <id> --vary
-#: tau_scale=0.8 --vary shock_form=paper-literal`` at 40 agents x 4
-#: realisations x 6 semesters, with the mechanism checks on.  In S7 one of
-#: the mechanism probes is the configuration itself.
+#: tau_scale=0.8`` at 40 agents x 4 realisations x 6 semesters, with the
+#: mechanism checks on.  In S7 one of the mechanism probes is the
+#: configuration itself.
 SENSITIVITY_FILES = {
     "S0": {
-        "manifest.json": "7bf54ef44017a851cea77e054127daa96ecd6731794458ac9cdc36e38441fb31",
+        "manifest.json": "00dac666ef8f272d437baf3181557edf05999962b495901a88fd5156b07fd85d",
         "sensitivity_report.json":
-            "077b1c17e87a091fa7385d3ed98131a499f27b3631a632a4c75e5b1c363f911e",
+            "a34fe8ae414239f561e29a3416df16991c1966bb308854b0e25afa88bcb8272e",
         "sensitivity_summary.csv":
-            "75ae7a19f3393749776602f716ff6872dc5efcc8f4cd7cb6e8e7c8e7577d690a",
+            "3f202c5815603bf7d47b89b042021452692e5f7b7d4599edfa8e5d97a8902239",
     },
     "S7": {
-        "manifest.json": "f47fff1b0a0e43bdfaffa625ebd708bf80080d5309756128fb86fa537a879a0b",
+        "manifest.json": "4a31657dde7c3837e7a37c6b3b6a94e4c3f3b4078c106d4ca19eb652ce13c43c",
         "sensitivity_report.json":
-            "223b04b8da235953a18e194ba5f6d2b7e7d8491b8f1a2b26b881b723619ba3e6",
+            "645234d39b87d7115c760fe3566b03cd107091a353408a3f959085d3f2c09bb5",
         "sensitivity_summary.csv":
-            "8fcf0dbde392ea9f8357fc3359470395791a7f83105c78d1f4e7f602dcd79767",
+            "8d47e8684a7678272829a9d29025ceee18a49204b0dc3437b8056cd59a4a21dd",
     },
 }
 
@@ -163,7 +163,7 @@ def test_sweep_run_is_pinned(tmp_path, capsys, workers):
 def test_sensitivity_run_is_pinned(tmp_path, capsys, scenario):
     out = tmp_path / "out"
     code = cli_main(["sensitivity", "--scenario", scenario,
-                     "--vary", "tau_scale=0.8", "--vary", "shock_form=paper-literal",
+                     "--vary", "tau_scale=0.8",
                      "--override", "n_agents=40", "--override", "n_realisations=4",
                      "--override", "horizon=6", "--out", str(out)])
     assert code == 0
