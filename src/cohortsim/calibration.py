@@ -24,7 +24,6 @@ size.  Everything is deterministic given (seed, budget).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields as dc_fields, replace
 from typing import Callable, Mapping, Sequence
 
@@ -36,7 +35,7 @@ from .population import PopulationParams
 from .scenario import (
     CALIBRATED_INTERVENTIONS, DEFAULT_BASE_SEED, DEFAULT_HORIZON, DEFAULT_N_AGENTS,
     INTERVENTION_LEVERS, ScenarioSpec, WorkerPool, builtin_scenario, ensemble_stats,
-    lever_interventions, worker_pool,
+    _build, lever_interventions, worker_pool,
 )
 
 #: One semester of median time-to-dropout error counts like 6 percentage
@@ -64,8 +63,6 @@ class CalibrationTargets:
     tolerance_ttd: float = 0.5  # semesters, for the median time-to-dropout
 
     def __post_init__(self) -> None:
-        for f in dc_fields(self):
-            _check_number(f.name, getattr(self, f.name))
         if self.tolerance_pp <= 0 or self.tolerance_ttd <= 0:
             raise ValueError("tolerances must be positive")
         for name in TARGET_SPECS:
@@ -149,32 +146,14 @@ class FreeParameters:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
 
-def _check_number(name: str, value) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{name}: expected a number, got {value!r}")
-
-
-def _numbers_from_dict(cls, doc: Mapping[str, float], what: str) -> dict[str, float]:
-    """The fields of ``cls`` a JSON object sets, each a finite number, as floats."""
-    if not isinstance(doc, Mapping):
-        raise ValueError(f"expected an object of {what} values, got {type(doc).__name__}")
-    unknown = set(doc) - {f.name for f in dc_fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {what} names: {sorted(unknown)}")
-    for name, value in doc.items():
-        _check_number(name, value)
-    return {k: float(v) for k, v in doc.items()}
-
-
 def targets_from_dict(doc: Mapping[str, float]) -> CalibrationTargets:
     """Calibration targets from a JSON object of numbers; unset targets keep their defaults."""
-    return CalibrationTargets(**_numbers_from_dict(CalibrationTargets, doc, "target"))
+    return _build(CalibrationTargets, doc, "targets")
 
 
 def params_from_dict(doc: Mapping[str, float]) -> FreeParameters:
     """Free parameters from a JSON object of numbers, each checked by its spec component."""
-    params = FreeParameters(**_numbers_from_dict(FreeParameters, doc, "parameter"))
+    params = _build(FreeParameters, doc, "params")
     params.apply(ScenarioSpec(id="S4"))  # S4 takes all three intervention levers
     return params
 

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .calibration import (
-    FreeParameters, RESIDUAL_CSV_HEADER, calibrate, params_from_dict, residual_csv_rows,
+    CalibrationTargets, RESIDUAL_CSV_HEADER, calibrate, params_from_dict, residual_csv_rows,
     targets_from_dict,
 )
 from .curriculum import (
@@ -107,65 +107,74 @@ def _load_json(path: str) -> dict:
         raise CliInputError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
 
 
-def _apply_overrides(doc: dict, overrides: Sequence[str], root: str) -> dict:
-    """Apply ``key.path=value`` overrides to a spec document in place."""
-    for item in overrides:
-        if "=" not in item:
-            raise CliInputError(f"override {item!r} must have the form key=value")
-        key, raw = item.split("=", 1)
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        node = doc
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if not isinstance(node, dict):
-                raise CliInputError(f"{root}.{key}: cannot descend into non-object")
-            node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise CliInputError(f"{root}.{key}: cannot descend into non-object")
-        node[parts[-1]] = value
-    return doc
+def _set(doc: dict, key: str, value, root: str) -> None:
+    """Set the dotted ``key`` of a spec document to ``value``, making objects on the way."""
+    node = doc
+    *parents, name = key.split(".")
+    for part in parents:
+        node = node.setdefault(part, {}) if isinstance(node, dict) else None
+    if not isinstance(node, dict):
+        raise CliInputError(f"{root}.{key}: cannot descend into non-object")
+    node[name] = value
 
 
-def _load_free_parameters(params_path: str) -> FreeParameters:
+def _read_values(decode, path: str):
+    """``decode`` of the JSON document in file ``path``; errors name the file."""
     try:
-        return params_from_dict(_load_json(params_path))
-    except (TypeError, ValueError) as exc:
-        raise CliInputError(f"{params_path}: {exc}") from None
-
-
-def _decode(decoder, doc):
-    try:
-        return decoder(doc)
+        return decode(_load_json(path))
     except ValueError as exc:
-        raise CliInputError(str(exc)) from None
+        raise CliInputError(f"{path}: {exc}") from None
 
 
-def _scenario_from_args(args) -> tuple[ScenarioSpec, dict]:
+def _read_spec(args, section: str) -> tuple[ScenarioSpec | SweepSpec, dict]:
+    """The decoded ``scenario`` or ``sweep`` (``section``) of a command, and its snapshot.
+
+    The document is the ``--from-manifest`` snapshot, the ``--spec`` file or
+    the default: ``--scenario``'s built-in scenario, or the full sweep.  Then
+    ``--seed``, ``--params`` and each ``--override`` set their values, in
+    that order.  Bad input raises :class:`CliInputError` before anything is
+    written.
+    """
+    scenario = section == "scenario"
+    decode, encode = ((scenario_from_dict, scenario_to_dict) if scenario
+                      else (sweep_from_dict, sweep_to_dict))
     if args.from_manifest:
         manifest = _load_json(args.from_manifest)
-        doc = manifest.get("parameters", {}).get("scenario")
+        parameters = manifest.get("parameters") if isinstance(manifest, dict) else None
+        doc = parameters.get(section) if isinstance(parameters, dict) else None
         if doc is None:
-            raise CliInputError(f"{args.from_manifest}: manifest has no scenario snapshot")
+            raise CliInputError(f"{args.from_manifest}: manifest has no {section} snapshot")
     elif args.spec:
         doc = _load_json(args.spec)
+    elif not scenario:
+        doc = sweep_to_dict(SweepSpec())
     elif args.scenario:
-        try:
-            doc = scenario_to_dict(builtin_scenario(args.scenario))
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from None
+        doc = scenario_to_dict(builtin_scenario(args.scenario))
     else:
         raise CliInputError("one of --scenario, --spec or --from-manifest is required")
+    if not isinstance(doc, dict):
+        raise CliInputError(f"{section}: expected an object")
     if args.seed is not None:
-        doc["base_seed"] = args.seed
-    if getattr(args, "params", None):
-        params = _load_free_parameters(args.params)
-        doc = scenario_to_dict(params.apply(_decode(scenario_from_dict, doc)))
-    _apply_overrides(doc, args.override, "scenario")
-    spec = _decode(scenario_from_dict, doc)
-    return spec, scenario_to_dict(spec)
+        _set(doc, "base_seed" if scenario else "base.base_seed", args.seed, section)
+    try:
+        if getattr(args, "params", None):
+            params = _read_values(params_from_dict, args.params)
+            spec = decode(doc)
+            doc = encode(params.apply(spec) if scenario
+                         else replace(spec, base=params.apply(spec.base)))
+        for item in args.override:
+            if "=" not in item:
+                raise CliInputError(f"override {item!r} must have the form key=value")
+            key, raw = item.split("=", 1)
+            try:
+                value = json.loads(raw)
+            except json.JSONDecodeError:
+                value = raw
+            _set(doc, key, value, section)
+        spec = decode(doc)
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from None
+    return spec, encode(spec)
 
 
 def _out_dir(args) -> Path:
@@ -219,7 +228,7 @@ def _recorded_batch(payload: tuple[ScenarioSpec, list[int]]) -> tuple[str, list]
 
 
 def _cmd_run(args) -> int:
-    spec, snapshot = _scenario_from_args(args)
+    spec, snapshot = _read_spec(args, "scenario")
     out = _out_dir(args)
     artifacts: dict[str, Path] = {}
     with WorkerPool(args.workers) as pool:
@@ -261,28 +270,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.from_manifest:
-        manifest = _load_json(args.from_manifest)
-        doc = manifest.get("parameters", {}).get("sweep")
-        if doc is None:
-            raise CliInputError(f"{args.from_manifest}: manifest has no sweep snapshot")
-    elif args.spec:
-        doc = _load_json(args.spec)
-    else:
-        doc = sweep_to_dict(SweepSpec())
-    if args.seed is not None:
-        doc.setdefault("base", scenario_to_dict(ScenarioSpec()))["base_seed"] = args.seed
-    if args.params:
-        params = _load_free_parameters(args.params)
-        sweep = _decode(sweep_from_dict, doc)
-        doc = sweep_to_dict(replace(sweep, base=params.apply(sweep.base)))
-    _apply_overrides(doc, args.override, "sweep")
-    sweep = _decode(sweep_from_dict, doc)
+    sweep, snapshot = _read_spec(args, "sweep")
     out = _out_dir(args)
     result = run_sweep(sweep, args.workers)
     grid_path = out / "sweep_grid.csv"
     _write_csv(grid_path, SWEEP_CSV_HEADER, sweep_csv_rows(result))
-    _write_manifest(out, "sweep", sweep.base.base_seed, {"sweep": sweep_to_dict(sweep)},
+    _write_manifest(out, "sweep", sweep.base.base_seed, {"sweep": snapshot},
                     {"sweep_grid": grid_path})
     n = len(result.lambda_inf_grid) * len(result.lambda_str_grid)
     print(f"sweep: {n} grid points written to {grid_path}")
@@ -290,10 +283,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    try:
-        targets = targets_from_dict(_load_json(args.targets) if args.targets else {})
-    except ValueError as exc:
-        raise CliInputError(f"{args.targets}: {exc}") from None
+    targets = (_read_values(targets_from_dict, args.targets) if args.targets
+               else CalibrationTargets())
     out = _out_dir(args)
     base_seed = DEFAULT_BASE_SEED if args.seed is None else args.seed
     result = calibrate(targets, budget=args.budget, seed=args.seed or 0,
@@ -376,7 +367,7 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_sensitivity(args) -> int:
-    spec, snapshot = _scenario_from_args(args)
+    spec, snapshot = _read_spec(args, "scenario")
     overrides = []
     for item in args.vary:
         if "=" not in item:
@@ -429,14 +420,17 @@ def _cmd_sensitivity(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_from(minimum: int):
+    """An argparse type: an integer of at least ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -446,10 +440,10 @@ def _build_parser() -> _Parser:
 
     def add_common(p, seed=True):
         p.add_argument("--out", default="out", help="output directory (created if absent)")
-        p.add_argument("--workers", type=_positive_int, default=1,
+        p.add_argument("--workers", type=_int_from(1), default=1,
                        help="parallel workers; results are identical for any value")
         if seed:
-            p.add_argument("--seed", type=int, default=None, help="override the base seed")
+            p.add_argument("--seed", type=_int_from(0), default=None, help="override the base seed")
 
     p = sub.add_parser("validate", help="validate a curriculum JSON and echo its IFC table")
     p.add_argument("--curriculum", required=True, help="curriculum JSON document")
@@ -480,10 +474,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("calibrate", help="search free parameters against published targets")
     p.add_argument("--targets", help="JSON file overriding default target values")
-    p.add_argument("--budget", type=_positive_int, default=60, help="objective evaluation budget")
-    p.add_argument("--stage1-realisations", type=_positive_int, default=30)
-    p.add_argument("--full-realisations", type=_positive_int, default=100)
-    p.add_argument("--n-agents", type=_positive_int, default=DEFAULT_N_AGENTS)
+    p.add_argument("--budget", type=_int_from(1), default=60, help="objective evaluation budget")
+    p.add_argument("--stage1-realisations", type=_int_from(1), default=30)
+    p.add_argument("--full-realisations", type=_int_from(1), default=100)
+    p.add_argument("--n-agents", type=_int_from(1), default=DEFAULT_N_AGENTS)
     add_common(p)
     p.set_defaults(func=_cmd_calibrate)
 

@@ -119,6 +119,9 @@ class PopulationParams:
         for name in ("male_share", "displaced_share"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
+        for low, high in (("age_min", "age_max"), ("gpa_min", "gpa_max")):
+            if getattr(self, low) > getattr(self, high):
+                raise ValueError(f"{low} must be <= {high}")
         if self.rank_correlation is not None:
             m = np.asarray(self.rank_correlation, dtype=float)
             k = len(COPULA_ATTRIBUTES)

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -91,10 +92,6 @@ class ScenarioSpec:
     curriculum: CurriculumGraph | None = None  # None = packaged default curriculum
 
     def __post_init__(self) -> None:
-        for name in ("n_agents", "n_realisations", "horizon", "base_seed", "course_load"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise _FieldError(f"{name}: expected an integer, got {value!r}")
         if self.n_agents < 1:
             raise ValueError("n_agents must be >= 1")
         if self.n_realisations < 1:
@@ -289,19 +286,14 @@ class SweepSpec:
     base: ScenarioSpec = field(default_factory=ScenarioSpec)
 
     def __post_init__(self) -> None:
-        for name, grid in (("lambda_inf_grid", self.lambda_inf_grid),
-                           ("lambda_str_grid", self.lambda_str_grid)):
-            try:
-                values = tuple(float(v) for v in grid)
-            except (TypeError, ValueError):
-                raise ValueError(f"{name} must be an array of numbers") from None
+        for name in ("lambda_inf_grid", "lambda_str_grid"):
+            values = getattr(self, name)
             if not values:
                 raise ValueError(f"{name} must be non-empty")
             if list(values) != sorted(values) or len(set(values)) != len(values):
                 raise ValueError(f"{name} must be strictly ascending")
             if values[0] != 1.0:
                 raise ValueError(f"{name} must start at 1.0 (amplification baseline)")
-            object.__setattr__(self, name, values)
 
 
 def run_sweep(sweep: SweepSpec, workers: int | WorkerPool = 1) -> SweepResult:
@@ -389,10 +381,8 @@ def _apply_override(spec: ScenarioSpec, name: str, value) -> ScenarioSpec:
     if name not in SENSITIVITY_OVERRIDES:
         raise ValueError(f"unknown sensitivity override {name!r}; "
                          f"supported: {', '.join(SENSITIVITY_OVERRIDES)}")
-    integral = name == "n_realisations"
-    if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
-        raise ValueError(f"{name}: expected {'an integer' if integral else 'a number'}, "
-                         f"got {value!r}")
+    # NaN and infinities fail the range checks below
+    _number(value, int if name == "n_realisations" else float, name, finite=False)
     if name in ("rho_mean", "rho_sd"):
         current = getattr(spec.population, name)
         if not abs(float(value) - current) <= 0.2 * abs(current) + 1e-12:  # NaN fails too
@@ -511,38 +501,59 @@ def sweep_to_dict(sweep: SweepSpec) -> dict:
     return _encode(sweep)
 
 
-#: Nested objects of the spec documents: field name -> dataclass.
-_SECTIONS = {
-    "base": ScenarioSpec,
-    "shock": ShockConfig,
-    "interventions": InterventionModifiers,
-    "population": PopulationParams,
-    "coefficients": DecisionCoefficients,
-    "dynamics": ResilienceDynamics,
-}
+def _number(value, kind: type, where: str, finite: bool = True):
+    """``value`` as a field of default type ``kind`` takes it from JSON, or ``ValueError``.
+
+    An ``int`` takes a JSON integer, a ``float`` any number (finite unless
+    ``finite`` is false, and stored as ``float``); a boolean is neither.
+    """
+    integral = kind is int
+    # abs(value) <= max: a finite float, or an integer that converts to one
+    if (isinstance(value, bool) or not isinstance(value, int if integral else (int, float))
+            or (finite and not integral and not abs(value) <= sys.float_info.max)):
+        raise ValueError(f"{where}: expected {'an integer' if integral else 'a number'}, "
+                         f"got {value!r}")
+    return kind(value)
+
+
+def _field_value(f: Field, value, where: str):
+    """``value`` decoded for field ``f`` by the rule of :func:`_build`."""
+    if f.default_factory is not MISSING:  # a nested section
+        return _build(f.default_factory, value, where)
+    if f.name == "curriculum" and value is not None:
+        return curriculum_from_dict(value, path=where)
+    if f.name == "strike_schedule" and value is not None:
+        try:
+            semesters = [int(k) for k in value.keys()]
+        except (TypeError, ValueError, AttributeError):
+            raise ValueError(f"{where}: expected semester -> multiplier map") from None
+        return {t: _number(v, float, f"{where}.{k}")
+                for t, (k, v) in zip(semesters, value.items())}
+    if isinstance(f.default, tuple):  # the sweep grids
+        if not isinstance(value, list):
+            raise ValueError(f"{where}: expected an array of numbers, got {value!r}")
+        return tuple(_number(v, float, f"{where}[{k}]") for k, v in enumerate(value))
+    if type(f.default) in (int, float):
+        return _number(value, type(f.default), where)
+    return value
 
 
 def _build(cls, doc: Mapping, path: str):
-    """Instantiate dataclass ``cls`` from its JSON form; errors carry field paths."""
+    """Instantiate dataclass ``cls`` from its JSON form; errors carry field paths.
+
+    The one decoder of every spec, target and parameter document.  A field
+    takes what its default is: an ``int`` a JSON integer, a ``float`` a
+    finite number, a tuple of floats an array of them, and a dataclass
+    ``default_factory`` a nested object.  ``curriculum`` and
+    ``strike_schedule`` have their own forms; other fields take any value.
+    """
     if not isinstance(doc, Mapping):
         raise ValueError(f"{path}: expected an object")
-    known = {f.name for f in fields(cls)}
+    known = {f.name: f for f in fields(cls)}
     for key in doc:
         if key not in known:
             raise ValueError(f"{path}.{key}: unknown field")
-    kwargs = {}
-    for key, value in doc.items():
-        where = f"{path}.{key}"
-        if key in _SECTIONS:
-            value = _build(_SECTIONS[key], value, where)
-        elif key == "curriculum" and value is not None:
-            value = curriculum_from_dict(value, path=where)
-        elif key == "strike_schedule" and value is not None:
-            try:
-                value = {int(k): float(v) for k, v in value.items()}
-            except (TypeError, ValueError, AttributeError):
-                raise ValueError(f"{where}: expected semester -> multiplier map") from None
-        kwargs[key] = value
+    kwargs = {key: _field_value(known[key], value, f"{path}.{key}") for key, value in doc.items()}
     try:
         return cls(**kwargs)
     except _FieldError as exc:

@@ -121,6 +121,14 @@ class TestRunCommand:
         assert f"scenario.{name}: expected an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_integral_and_float_forms_of_a_number_give_one_manifest(self, tmp_path):
+        outs = [tmp_path / "int", tmp_path / "float"]
+        for out, value in zip(outs, ("2", "2.0")):
+            assert run_cli("run", "--scenario", "S0", "--override", f"shock.lambda_str={value}",
+                           "--override", "n_agents=20", "--override", "n_realisations=2",
+                           "--out", out) == 0
+        assert read(outs[0] / "manifest.json") == read(outs[1] / "manifest.json")
+
     def test_inline_curriculum_ifc_weights_replayed(self, tmp_path):
         curriculum = curriculum_to_dict(default_curriculum())
         curriculum["ifc_weights"] = {"w1": 0.6, "w2": 0.2, "w3": 0.2}
@@ -195,6 +203,53 @@ def test_manifest_with_a_removed_key_exits_one(tmp_path, capsys, command, sectio
     out = tmp_path / "x"
     assert run_cli(command, "--from-manifest", manifest, "--out", out) == 1
     assert f"{section}.{key}: unknown field" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--from-manifest", "list.json"], "list.json: manifest has no scenario snapshot"),
+    (["run", "--spec", "one.json", "--seed", "3"], "scenario: expected an object"),
+    (["sweep", "--spec", "one.json", "--seed", "3"], "sweep: expected an object"),
+    (["calibrate", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+], ids=["manifest-list", "run-spec-list", "sweep-spec-list", "calibrate-negative-seed"])
+def test_malformed_document_exits_one_before_any_artifact(tmp_path, capsys, monkeypatch, argv,
+                                                         message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "one.json").write_text("[1]")
+    out = tmp_path / "x"
+    assert run_cli(*argv, "--out", out) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("run", "shock.lambda_inf=NaN", "scenario.shock.lambda_inf: expected a number, got nan"),
+    ("run", "population.rho_mean=NaN",
+     "scenario.population.rho_mean: expected a number, got nan"),
+    ("run", "shock.lambda_str=true", "scenario.shock.lambda_str: expected a number, got True"),
+    ("run", 'shock.strike_schedule={"1":NaN}',
+     "scenario.shock.strike_schedule.1: expected a number, got nan"),
+    ("run", 'coefficients.beta1="2"', "scenario.coefficients.beta1: expected a number, got '2'"),
+    ("run", "population.age_min=40", "scenario.population: age_min must be <= age_max"),
+    ("run", "population.gpa_min=11", "scenario.population: gpa_min must be <= gpa_max"),
+    ("sweep", "lambda_inf_grid=[1.0,NaN]", "sweep.lambda_inf_grid[1]: expected a number, got nan"),
+    ("calibrate", '{"s0_total": NaN}', "targets.s0_total: expected a number, got nan"),
+], ids=["lambda_inf-nan", "rho_mean-nan", "lambda_str-true", "strike_schedule-nan",
+        "beta1-string", "age_min-above-max", "gpa_min-above-max", "sweep-grid-nan",
+        "targets-nan"])
+def test_bad_value_exits_one_naming_its_path(tmp_path, capsys, command, setting, message):
+    out = tmp_path / "x"
+    if command == "calibrate":
+        targets_path = tmp_path / "targets.json"
+        targets_path.write_text(setting)
+        argv = ["calibrate", "--targets", targets_path, "--budget", "1", "--n-agents", "5"]
+        message = f"{targets_path}: {message}"
+    else:
+        argv = [command, *(["--scenario", "S0"] if command == "run" else []),
+                "--override", setting]
+    assert run_cli(*argv, "--out", out) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

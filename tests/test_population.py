@@ -211,9 +211,13 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             ScenarioSpec(n_agents=0)
 
-    def test_negative_sd_rejected(self):
-        with pytest.raises(ValueError):
-            PopulationParams(tau_sd=-0.1)
+    @pytest.mark.parametrize("name, value, message", [
+        ("tau_sd", -0.1, "tau_sd must be >= 0"),
+        ("age_min", 40.0, "age_min must be <= age_max"),
+        ("gpa_min", 11.0, "gpa_min must be <= gpa_max")])
+    def test_bad_moment_or_range_rejected(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            PopulationParams(**{name: value})
 
     def test_shares_in_unit_interval(self):
         with pytest.raises(ValueError):

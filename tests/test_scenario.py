@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohortsim import engine, scenario
+from cohortsim.calibration import (
+    TARGET_SPECS, CalibrationTargets, FreeParameters, params_from_dict, targets_from_dict,
+)
 from cohortsim.curriculum import Course, CurriculumGraph, Cycle, IFCWeights
 from cohortsim.engine import (
     DecisionCoefficients, InterventionModifiers, ResilienceDynamics, ShockConfig,
@@ -415,6 +418,23 @@ def specs_with_horizon(horizon):
 
 specs = st.integers(0, 12).flatmap(specs_with_horizon)
 
+targets = st.builds(
+    CalibrationTargets, **{name: unit for name in TARGET_SPECS if name != "s0_median_ttd"},
+    s0_median_ttd=st.floats(0.0, 12.0), tolerance_pp=st.floats(0.01, 10.0),
+    tolerance_ttd=st.floats(0.01, 2.0))
+
+free_parameters = st.builds(
+    FreeParameters, beta0=st.floats(-5.0, 5.0), beta1=st.floats(0.0, 3.0),
+    beta2=st.floats(0.0, 3.0), beta3=st.floats(0.0, 3.0), beta4=st.floats(-1.0, 0.0),
+    d_fail=unit, r_gain=unit, rho_floor=unit, external_hazard_base=unit,
+    rho_mean=unit, rho_sd=unit, tau_mean=unit, tau_sd=unit,
+    academic_support_factor=st.floats(0.01, 1.0), curriculum_redesign_factor=st.floats(0.01, 1.0),
+    financial_support_boost=st.floats(0.0, 0.2))
+
+#: The decoder of each document type the round trip draws.
+DECODERS = {ScenarioSpec: scenario_from_dict, CalibrationTargets: targets_from_dict,
+            FreeParameters: params_from_dict}
+
 
 class TestSerialisation:
     def test_scenario_round_trip(self):
@@ -430,10 +450,11 @@ class TestSerialisation:
         restored = scenario_from_dict(json.loads(PINNED_SNAPSHOT))
         assert scenario_to_dict(restored) == doc
 
-    @settings(max_examples=50, deadline=None)
-    @given(specs)
-    def test_json_round_trip(self, spec):
-        assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(spec)))) == spec
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(specs, targets, free_parameters))
+    def test_json_round_trip(self, value):
+        doc = json.loads(json.dumps(scenario._encode(value)))
+        assert DECODERS[type(value)](doc) == value
 
     def test_sweep_round_trip(self):
         sweep = SweepSpec(lambda_inf_grid=(1.0, 1.1), lambda_str_grid=(1.0, 1.5),
