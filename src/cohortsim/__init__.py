@@ -10,8 +10,8 @@ macro features with cohort-based validation folds.
 
 from .curriculum import (
     Course, CurriculumGraph, Cycle, CurriculumError, GraphViolation, IFCWeights,
-    compute_ifc_raw, default_curriculum, load_curriculum, standardise_ifc_within_cycle,
-    standardised_ifc, validate_graph,
+    compute_ifc_raw, default_curriculum, standardise_ifc_within_cycle, standardised_ifc,
+    validate_graph,
 )
 from .population import (
     Cohort, DropoutCause, PopulationParams, Status, Tercile, generate_cohort, tercile_of,

@@ -27,10 +27,7 @@ from .calibration import (
     CalibrationTargets, RESIDUAL_CSV_HEADER, calibrate, params_from_dict, residual_csv_rows,
     targets_from_dict,
 )
-from .curriculum import (
-    CurriculumError, default_curriculum, ifc_table_rows,
-    load_curriculum, standardised_ifc, validate_graph,
-)
+from .curriculum import default_curriculum, ifc_table_rows, standardised_ifc, validate_graph
 from .engine import TRAJECTORY_HEADER, realisation_cohort, run_blocks, trajectory_csv_rows
 from .featurelab import (
     FeatureError, MASK_CSV_HEADER, availability_mask_rows, build_feature_views, csv_id_cells,
@@ -43,8 +40,9 @@ from .metrics import (
 )
 from .scenario import (
     DEFAULT_BASE_SEED, DEFAULT_N_AGENTS, ScenarioSpec, SweepSpec, WorkerPool, block_batches,
-    builtin_scenario, ensemble_stats, run_sweep, scenario_from_dict, scenario_to_dict,
-    sensitivity_run, spec_hash, sweep_from_dict, sweep_to_dict, BUILTIN_SCENARIO_IDS,
+    builtin_scenario, curriculum_from_dict, ensemble_stats, run_sweep, scenario_from_dict,
+    scenario_to_dict, sensitivity_run, spec_hash, sweep_from_dict, sweep_to_dict,
+    BUILTIN_SCENARIO_IDS,
 )
 
 
@@ -188,12 +186,7 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
-    try:
-        graph = load_curriculum(args.curriculum)
-    except FileNotFoundError:
-        raise CliInputError(f"{args.curriculum}: file not found") from None
-    except (CurriculumError, json.JSONDecodeError) as exc:
-        raise CliInputError(str(exc)) from None
+    graph = _read_values(curriculum_from_dict, args.curriculum)
     violations = validate_graph(graph)
     if violations:
         for v in violations:
@@ -311,14 +304,12 @@ def _cmd_features(args) -> int:
     try:
         series = load_macro_series(args.inflation_csv, args.strikes_csv)
         students = load_student_records(args.students_csv, args.takings_csv)
-        if args.curriculum:
-            graph = standardised_ifc(load_curriculum(args.curriculum))
-        else:
-            graph = default_curriculum()
     except FileNotFoundError as exc:
         raise CliInputError(f"{exc.filename}: file not found") from None
-    except (FeatureError, CurriculumError) as exc:
+    except FeatureError as exc:
         raise CliInputError(str(exc)) from None
+    graph = (standardised_ifc(_read_values(curriculum_from_dict, args.curriculum))
+             if args.curriculum else default_curriculum())
     known = {course.id for course in graph.courses}
     if not {course_id for student in students for course_id, _ in student.takings} <= known:
         student, course_id = next((student, course_id) for student in students

@@ -8,18 +8,18 @@ prerequisite in-degree and retake rate, standardised within each cycle so that
 values lie in [0, 1] with mean 0.5.
 
 Graphs are immutable after construction and safe to share across parallel
-simulation workers.
+simulation workers.  This module holds no JSON code: the curriculum document
+is encoded and decoded by the spec codec, :func:`cohortsim.scenario.curriculum_to_dict`
+and :func:`cohortsim.scenario.curriculum_from_dict`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 
 class Cycle(str, Enum):
@@ -340,85 +340,6 @@ def default_curriculum(weights: IFCWeights = IFCWeights()) -> CurriculumGraph:
         for i, n, cy, s, pre, f, r in _DEFAULT_COURSES
     ]
     return standardised_ifc(CurriculumGraph(courses, weights))
-
-
-# ---------------------------------------------------------------------------
-# JSON interface
-# ---------------------------------------------------------------------------
-
-def curriculum_from_dict(doc: Mapping, *, path: str = "curriculum") -> CurriculumGraph:
-    """Parse the curriculum JSON document; errors carry the offending field path."""
-    if not isinstance(doc, Mapping):
-        raise CurriculumError(f"{path}: expected an object")
-    raw_courses = doc.get("courses")
-    if not isinstance(raw_courses, Sequence) or isinstance(raw_courses, (str, bytes)):
-        raise CurriculumError(f"{path}.courses: expected an array of course objects")
-    weights_doc = doc.get("ifc_weights", {})
-    if not isinstance(weights_doc, Mapping):
-        raise CurriculumError(f"{path}.ifc_weights: expected an object")
-    try:
-        weights = IFCWeights(
-            w1=float(weights_doc.get("w1", 0.5)),
-            w2=float(weights_doc.get("w2", 0.3)),
-            w3=float(weights_doc.get("w3", 0.2)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise CurriculumError(f"{path}.ifc_weights: {exc}") from None
-    courses = []
-    for i, entry in enumerate(raw_courses):
-        where = f"{path}.courses[{i}]"
-        if not isinstance(entry, Mapping):
-            raise CurriculumError(f"{where}: expected an object")
-        try:
-            cycle = Cycle(str(entry.get("cycle", "")).lower())
-        except ValueError:
-            raise CurriculumError(f"{where}.cycle: must be 'basic' or 'advanced'") from None
-        prereqs = entry.get("prereqs", [])
-        if not isinstance(prereqs, Sequence) or isinstance(prereqs, (str, bytes)):
-            raise CurriculumError(f"{where}.prereqs: expected an array of course ids")
-        try:
-            courses.append(Course(
-                id=str(entry["id"]),
-                name=str(entry.get("name", entry["id"])),
-                cycle=cycle,
-                scheduled_semester=int(entry["semester"]),
-                prerequisites=frozenset(str(p) for p in prereqs),
-                base_fail_rate=float(entry["fail_rate"]),
-                retake_rate=float(entry["retake_rate"]),
-            ))
-        except KeyError as exc:
-            raise CurriculumError(f"{where}: missing required field {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise CurriculumError(f"{where}: {exc}") from None
-    try:
-        return CurriculumGraph(courses, weights)
-    except CurriculumError as exc:
-        raise CurriculumError(f"{path}: {exc}") from None
-
-
-def load_curriculum(path: str | Path) -> CurriculumGraph:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return curriculum_from_dict(doc, path=str(path))
-
-
-def curriculum_to_dict(graph: CurriculumGraph) -> dict:
-    weights = graph.ifc_weights
-    return {
-        "courses": [
-            {
-                "id": c.id,
-                "name": c.name,
-                "cycle": c.cycle.value,
-                "semester": c.scheduled_semester,
-                "prereqs": sorted(c.prerequisites),
-                "fail_rate": c.base_fail_rate,
-                "retake_rate": c.retake_rate,
-            }
-            for c in graph.courses
-        ],
-        "ifc_weights": {"w1": weights.w1, "w2": weights.w2, "w3": weights.w3},
-    }
 
 
 def ifc_table_rows(graph: CurriculumGraph) -> list[tuple]:

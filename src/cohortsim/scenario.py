@@ -33,7 +33,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .curriculum import CurriculumGraph, curriculum_from_dict, curriculum_to_dict
+from .curriculum import Course, CurriculumError, CurriculumGraph, Cycle, IFCWeights
 from .engine import (
     DecisionCoefficients, InterventionModifiers, ResilienceDynamics, ShockConfig,
     DEFAULT_COURSE_LOAD,
@@ -516,6 +516,32 @@ def _number(value, kind: type, where: str, finite: bool = True):
     return kind(value)
 
 
+def _string(value, where: str) -> str:
+    """``value`` as a string field takes it from JSON, or ``ValueError``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+def _semester(key, where: str) -> int:
+    """A ``strike_schedule`` key: the decimal form of an integer, so each semester has one."""
+    try:
+        if str(int(key)) == key:
+            return int(key)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{where}.{key}: expected a semester number, got {key!r}")
+
+
+def _check_keys(doc, known, path: str) -> None:
+    """``ValueError`` unless ``doc`` is an object whose keys are all in ``known``."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{path}: expected an object")
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"{path}.{key}: unknown field")
+
+
 def _field_value(f: Field, value, where: str):
     """``value`` decoded for field ``f`` by the rule of :func:`_build`."""
     if f.default_factory is not MISSING:  # a nested section
@@ -523,36 +549,32 @@ def _field_value(f: Field, value, where: str):
     if f.name == "curriculum" and value is not None:
         return curriculum_from_dict(value, path=where)
     if f.name == "strike_schedule" and value is not None:
-        try:
-            semesters = [int(k) for k in value.keys()]
-        except (TypeError, ValueError, AttributeError):
-            raise ValueError(f"{where}: expected semester -> multiplier map") from None
-        return {t: _number(v, float, f"{where}.{k}")
-                for t, (k, v) in zip(semesters, value.items())}
+        if not isinstance(value, Mapping):
+            raise ValueError(f"{where}: expected semester -> multiplier map")
+        return {_semester(k, where): _number(v, float, f"{where}.{k}") for k, v in value.items()}
     if isinstance(f.default, tuple):  # the sweep grids
         if not isinstance(value, list):
             raise ValueError(f"{where}: expected an array of numbers, got {value!r}")
         return tuple(_number(v, float, f"{where}[{k}]") for k, v in enumerate(value))
     if type(f.default) in (int, float):
         return _number(value, type(f.default), where)
+    if type(f.default) is str:
+        return _string(value, where)
     return value
 
 
 def _build(cls, doc: Mapping, path: str):
     """Instantiate dataclass ``cls`` from its JSON form; errors carry field paths.
 
-    The one decoder of every spec, target and parameter document.  A field
-    takes what its default is: an ``int`` a JSON integer, a ``float`` a
-    finite number, a tuple of floats an array of them, and a dataclass
-    ``default_factory`` a nested object.  ``curriculum`` and
-    ``strike_schedule`` have their own forms; other fields take any value.
+    The one decoder of every spec, target, parameter and IFC-weight object.
+    A field takes what its default is: an ``int`` a JSON integer, a
+    ``float`` a finite number, a ``str`` a string, a tuple of floats an
+    array of them, and a dataclass ``default_factory`` a nested object.
+    ``curriculum`` and ``strike_schedule`` have their own forms; other
+    fields take any value.
     """
-    if not isinstance(doc, Mapping):
-        raise ValueError(f"{path}: expected an object")
     known = {f.name: f for f in fields(cls)}
-    for key in doc:
-        if key not in known:
-            raise ValueError(f"{path}.{key}: unknown field")
+    _check_keys(doc, known, path)
     kwargs = {key: _field_value(known[key], value, f"{path}.{key}") for key, value in doc.items()}
     try:
         return cls(**kwargs)
@@ -560,6 +582,71 @@ def _build(cls, doc: Mapping, path: str):
         raise ValueError(f"{path}.{exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+#: The keys of one course in the curriculum document.
+_COURSE_KEYS = ("id", "name", "cycle", "semester", "prereqs", "fail_rate", "retake_rate")
+
+
+def curriculum_from_dict(doc: Mapping, *, path: str = "curriculum") -> CurriculumGraph:
+    """Build a CurriculumGraph from its JSON form by the rule of :func:`_build`.
+
+    Errors name the field's path: ``ValueError`` for an unknown key or a
+    wrong type, ``CurriculumError`` for the curriculum's own checks.
+    """
+    _check_keys(doc, ("courses", "ifc_weights"), path)
+    raw_courses = doc.get("courses")
+    if not isinstance(raw_courses, list):
+        raise CurriculumError(f"{path}.courses: expected an array of course objects")
+    weights = _build(IFCWeights, doc.get("ifc_weights", {}), f"{path}.ifc_weights")
+    courses = []
+    for i, entry in enumerate(raw_courses):
+        where = f"{path}.courses[{i}]"
+        _check_keys(entry, _COURSE_KEYS, where)
+        try:
+            cycle = Cycle(entry.get("cycle").lower())
+        except (AttributeError, ValueError):
+            raise CurriculumError(f"{where}.cycle: must be 'basic' or 'advanced'") from None
+        prereqs = entry.get("prereqs", [])
+        if not isinstance(prereqs, list):
+            raise CurriculumError(f"{where}.prereqs: expected an array of course ids")
+        try:
+            courses.append(Course(
+                id=_string(entry["id"], f"{where}.id"),
+                name=_string(entry.get("name", entry["id"]), f"{where}.name"),
+                cycle=cycle,
+                scheduled_semester=_number(entry["semester"], int, f"{where}.semester"),
+                prerequisites=frozenset(_string(p, f"{where}.prereqs[{k}]")
+                                        for k, p in enumerate(prereqs)),
+                base_fail_rate=_number(entry["fail_rate"], float, f"{where}.fail_rate"),
+                retake_rate=_number(entry["retake_rate"], float, f"{where}.retake_rate"),
+            ))
+        except KeyError as exc:
+            raise CurriculumError(f"{where}: missing required field {exc.args[0]!r}") from None
+        except CurriculumError as exc:
+            raise CurriculumError(f"{where}: {exc}") from None
+    try:
+        return CurriculumGraph(courses, weights)
+    except CurriculumError as exc:
+        raise CurriculumError(f"{path}: {exc}") from None
+
+
+def curriculum_to_dict(graph: CurriculumGraph) -> dict:
+    return {
+        "courses": [
+            {
+                "id": c.id,
+                "name": c.name,
+                "cycle": c.cycle.value,
+                "semester": c.scheduled_semester,
+                "prereqs": sorted(c.prerequisites),
+                "fail_rate": c.base_fail_rate,
+                "retake_rate": c.retake_rate,
+            }
+            for c in graph.courses
+        ],
+        "ifc_weights": _encode(graph.ifc_weights),
+    }
 
 
 def scenario_from_dict(doc: Mapping, path: str = "scenario") -> ScenarioSpec:

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from cohortsim.cli import main as cli_main
-from cohortsim.curriculum import curriculum_to_dict, default_curriculum
+from cohortsim.curriculum import default_curriculum
 from cohortsim.engine import ShockConfig
 from cohortsim.featurelab import (
     MacroSeries, StudentRecord, build_feature_view, default_feature_catalog,
@@ -26,7 +26,7 @@ from cohortsim.featurelab import (
 )
 from cohortsim.metrics import amplification, hazard_curve, hazard_excess
 from cohortsim.scenario import (
-    ScenarioSpec, SweepSpec, builtin_scenario, run_ensemble, run_sweep,
+    ScenarioSpec, SweepSpec, builtin_scenario, curriculum_to_dict, run_ensemble, run_sweep,
     scenario_to_dict, sensitivity_run, sweep_to_dict,
 )
 

@@ -9,8 +9,10 @@ import pytest
 import cohortsim
 from cohortsim import scenario
 from cohortsim.cli import main
-from cohortsim.curriculum import CurriculumGraph, curriculum_to_dict, default_curriculum
-from cohortsim.scenario import ScenarioSpec, SweepSpec, scenario_to_dict, sweep_to_dict
+from cohortsim.curriculum import CurriculumGraph, default_curriculum
+from cohortsim.scenario import (
+    ScenarioSpec, SweepSpec, curriculum_to_dict, scenario_to_dict, sweep_to_dict,
+)
 
 TINY = ["--override", "n_agents=25", "--override", "n_realisations=3",
         "--override", "horizon=4"]
@@ -235,9 +237,16 @@ def test_malformed_document_exits_one_before_any_artifact(tmp_path, capsys, monk
     ("run", "population.gpa_min=11", "scenario.population: gpa_min must be <= gpa_max"),
     ("sweep", "lambda_inf_grid=[1.0,NaN]", "sweep.lambda_inf_grid[1]: expected a number, got nan"),
     ("calibrate", '{"s0_total": NaN}', "targets.s0_total: expected a number, got nan"),
+    ("run", "id=[1]", "scenario.id: expected a string, got [1]"),
+    ("run", "id=7", "scenario.id: expected a string, got 7"),
+    ("run", 'shock.strike_schedule={"1": 2.5, "01": 1.0}',
+     "scenario.shock.strike_schedule.01: expected a semester number, got '01'"),
+    ("run", 'shock.strike_schedule={" 2": 1.5}',
+     "scenario.shock.strike_schedule. 2: expected a semester number, got ' 2'"),
 ], ids=["lambda_inf-nan", "rho_mean-nan", "lambda_str-true", "strike_schedule-nan",
         "beta1-string", "age_min-above-max", "gpa_min-above-max", "sweep-grid-nan",
-        "targets-nan"])
+        "targets-nan", "id-list", "id-number", "strike_schedule-leading-zero",
+        "strike_schedule-leading-space"])
 def test_bad_value_exits_one_naming_its_path(tmp_path, capsys, command, setting, message):
     out = tmp_path / "x"
     if command == "calibrate":
@@ -248,6 +257,51 @@ def test_bad_value_exits_one_naming_its_path(tmp_path, capsys, command, setting,
     else:
         argv = [command, *(["--scenario", "S0"] if command == "run" else []),
                 "--override", setting]
+    assert run_cli(*argv, "--out", out) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def feature_inputs(tmp_path) -> list:
+    """``features`` arguments naming small valid input CSVs written under ``tmp_path``."""
+    inflation, strikes, students, takings = TestFeaturesCommand.write_inputs(tmp_path)
+    return ["--inflation-csv", inflation, "--strikes-csv", strikes,
+            "--students-csv", students, "--takings-csv", takings]
+
+
+@pytest.mark.parametrize("command", ["validate", "features", "run"])
+@pytest.mark.parametrize("keys, value, message", [
+    (("courses", 0, "semester"), 1.5, "courses[0].semester: expected an integer, got 1.5"),
+    (("courses", 0, "fail_rate"), "0.3", "courses[0].fail_rate: expected a number, got '0.3'"),
+    (("courses", 0, "fail_rate"), True, "courses[0].fail_rate: expected a number, got True"),
+    (("ifc_weights", "w1"), "0.5", "ifc_weights.w1: expected a number, got '0.5'"),
+    (("courses", 0, "room"), "A1", "courses[0].room: unknown field"),
+    (("room",), "A1", "room: unknown field"),
+    (("ifc_weights", "w4"), 0.0, "ifc_weights.w4: unknown field"),
+    (("courses", 0, "id"), 7, "courses[0].id: expected a string, got 7"),
+    (("courses", 0, "prereqs"), [1], "courses[0].prereqs[0]: expected a string, got 1"),
+], ids=["semester-float", "fail_rate-string", "fail_rate-true", "w1-string",
+        "unknown-course-key", "unknown-top-key", "unknown-weight", "id-number",
+        "prereq-number"])
+def test_bad_curriculum_value_exits_one_naming_its_path(tmp_path, capsys, command, keys,
+                                                        value, message):
+    doc = curriculum_to_dict(default_curriculum())
+    *parents, name = keys
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[name] = value
+    doc_path = tmp_path / "doc.json"
+    out = tmp_path / "out"
+    if command == "run":
+        doc_path.write_text(json.dumps({"curriculum": doc}))
+        argv = ["run", "--spec", doc_path, *TINY]
+        message = f"scenario.curriculum.{message}"
+    else:
+        doc_path.write_text(json.dumps(doc))
+        argv = [command, "--curriculum", doc_path,
+                *(feature_inputs(tmp_path) if command == "features" else [])]
+        message = f"{doc_path}: curriculum.{message}"
     assert run_cli(*argv, "--out", out) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -378,17 +432,23 @@ class TestValidateCommand:
         assert run_cli("validate", "--curriculum", doc_path) == 1
         assert "dangling-prerequisite" in capsys.readouterr().err
 
-    def test_malformed_json_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["validate", "features"])
+    def test_malformed_json_exits_one(self, tmp_path, capsys, command):
         doc_path = tmp_path / "broken.json"
         doc_path.write_text("{nope")
-        assert run_cli("validate", "--curriculum", doc_path) == 1
+        out = tmp_path / "out"
+        assert run_cli(command, "--curriculum", doc_path, "--out", out,
+                       *(feature_inputs(tmp_path) if command == "features" else [])) == 1
+        assert f"{doc_path}:1: invalid JSON" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exits_one(self, tmp_path):
         assert run_cli("validate", "--curriculum", tmp_path / "absent.json") == 1
 
 
 class TestFeaturesCommand:
-    def write_inputs(self, tmp_path):
+    @staticmethod
+    def write_inputs(tmp_path):
         inflation = tmp_path / "inflation.csv"
         inflation.write_text("month,inflation\n" + "\n".join(
             f"{m},{2.0 + 0.2 * (m % 4)}" for m in range(50)) + "\n")

@@ -5,10 +5,11 @@ from hypothesis import example, given, strategies as st
 
 from cohortsim.curriculum import (
     Course, CurriculumError, CurriculumGraph, Cycle, IFCWeights,
-    apply_curriculum_redesign, compute_ifc_raw, curriculum_from_dict,
-    curriculum_to_dict, default_curriculum, standardise_ifc_within_cycle,
-    standardised_ifc, topological_order, validate_graph, with_raw_ifc,
+    apply_curriculum_redesign, compute_ifc_raw, default_curriculum,
+    standardise_ifc_within_cycle, standardised_ifc, topological_order, validate_graph,
+    with_raw_ifc,
 )
+from cohortsim.scenario import curriculum_from_dict, curriculum_to_dict
 
 
 def course(cid, sem=1, cycle=Cycle.BASIC, prereqs=(), fail=0.0, retake=0.0, **kw):
