@@ -20,7 +20,7 @@ import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 
 from . import __version__
 from .calibration import (
@@ -63,11 +63,15 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _write_rows(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(rows)  # None is written as an empty field
+
+
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)  # None is written as an empty field
+        _write_rows(fh, header, rows)
 
 
 def _write_json(path: Path, doc) -> None:
@@ -201,10 +205,7 @@ def _cmd_validate(args) -> int:
         _write_manifest(out, "validate", None, {"curriculum": str(args.curriculum)},
                         {"ifc_table": path}, inputs={"curriculum": Path(args.curriculum)})
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        for row in table:
-            writer.writerow(["" if v is None else v for v in row])
+        _write_rows(sys.stdout, header, table)
     return 0
 
 

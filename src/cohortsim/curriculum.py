@@ -22,6 +22,10 @@ from enum import Enum
 from typing import Iterable
 
 
+#: The basic (foundational) cycle is semesters 1 to this one; the advanced cycle follows.
+BASIC_CYCLE_LAST_SEMESTER = 4
+
+
 class Cycle(str, Enum):
     BASIC = "basic"
     ADVANCED = "advanced"
@@ -176,14 +180,16 @@ def validate_graph(graph: CurriculumGraph) -> list[GraphViolation]:
                         "semester-order", course.id,
                         f"scheduled semester {course.scheduled_semester} is not after "
                         f"prerequisite {pre!r} (semester {pre_course.scheduled_semester})"))
-        if course.cycle == Cycle.BASIC and course.scheduled_semester > 4:
+        last = BASIC_CYCLE_LAST_SEMESTER
+        if course.cycle == Cycle.BASIC and course.scheduled_semester > last:
             violations.append(GraphViolation(
                 "cycle-semester", course.id,
-                f"basic-cycle course scheduled in semester {course.scheduled_semester} > 4"))
-        if course.cycle == Cycle.ADVANCED and course.scheduled_semester < 5:
+                f"basic-cycle course scheduled in semester {course.scheduled_semester} > {last}"))
+        if course.cycle == Cycle.ADVANCED and course.scheduled_semester <= last:
             violations.append(GraphViolation(
                 "cycle-semester", course.id,
-                f"advanced-cycle course scheduled in semester {course.scheduled_semester} < 5"))
+                f"advanced-cycle course scheduled in semester {course.scheduled_semester} "
+                f"< {last + 1}"))
     try:
         only_known = [replace(c, prerequisites=frozenset(p for p in c.prerequisites if p in graph))
                       for c in graph.courses]

@@ -197,8 +197,9 @@ class TrajectoryLog:
 
     The arrays hold one entry per agent.  ``status`` and ``cause`` are codes
     of :data:`~cohortsim.population.STATUSES` and ``CAUSES`` (cause -1: none);
-    ``exit_semester`` is 0 while active; ``failures`` counts failed attempts.
-    ``semesters`` is the :class:`SemesterRecord`; None with recording off or at horizon 0.
+    ``exit_semester`` is 0 while active.  An agent's GPA and course attempts
+    are in its rows of ``semesters``, the :class:`SemesterRecord`; None with
+    recording off or at horizon 0.
     """
 
     realisation_index: int
@@ -206,10 +207,8 @@ class TrajectoryLog:
     status: np.ndarray
     cause: np.ndarray
     exit_semester: np.ndarray
-    gpa: np.ndarray
     resilience: np.ndarray
     initial_resilience: np.ndarray
-    failures: np.ndarray
     semesters: SemesterRecord | None = None
 
     @property
@@ -261,8 +260,8 @@ class AgentBatch:
     * Decision rows, one per (block, agent), block-major, ``block`` holding
       each row's block and ``acad`` its academic row: resilience, status,
       cause and exit semester.  The academic row may run on for other blocks
-      after a decision row exits, so ``exits`` keeps, per semester, the rows
-      that exited with their GPA and failure count of that moment.
+      after a decision row exits, so only the semester record holds the GPA
+      an agent left with.
     * The cohort attributes -- ``secondary_gpa``, ``parental_education``,
       ``threshold`` and ``initial_resilience`` -- are held per academic row,
       so a decision row reads them at its ``acad``: there are fewer academic
@@ -292,7 +291,6 @@ class AgentBatch:
         self.status = np.full(rows, ACTIVE, np.int8)
         self.cause = np.full(rows, NO_CAUSE, np.int8)
         self.exit_semester = np.zeros(rows, np.int64)
-        self.exits: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         # bit[w, c]: course c's bit in word w, else 0; the empty slot -1 has none
         courses = np.arange(len(graph))
         self.bit = np.zeros((words, len(graph) + 1), np.uint64)
@@ -463,7 +461,9 @@ def advance_semester(state: AgentBatch, shared: "ScenarioSpec", fail: np.ndarray
     continuation probability.  Dropout causes follow the precedence external >
     resilience-depletion > academic.  Returns the decision rows that were
     active, the academic rows that ran (ascending), and those academic rows'
-    course slots and failure flags.
+    course slots and failure flags.  An exiting row's academic row may run on
+    for other blocks, so its GPA at exit is read, as a recorded run does,
+    right after this call.
     """
     dynamics = shared.dynamics
     rows = np.flatnonzero(state.status == ACTIVE)
@@ -497,9 +497,6 @@ def advance_semester(state: AgentBatch, shared: "ScenarioSpec", fail: np.ndarray
         state.status[where] = status
         state.cause[where] = cause
         state.exit_semester[where] = semester
-    # their academic rows may run on for other blocks: exiting rows keep this semester's values
-    out = np.flatnonzero(state.status[rows] != ACTIVE)
-    state.exits.append((rows[out], state.gpa[acad[out]], state.failures[acad[out]]))
     return rows, paths, slots, failed
 
 
@@ -646,20 +643,15 @@ def run_blocks(blocks: Sequence[tuple["ScenarioSpec", int]],
         ids = tuple(c.id for c in state.graph.courses)
         records = [SemesterRecord(*(a[rows // n == k] for a in (semester, rows % n, *rest)), ids)
                    for k in range(len(blocks))]
-    # rows still active read their GPA and failures off their academic rows
-    gpa, failures = state.gpa[state.acad], state.failures[state.acad]
-    for rows, exit_gpa, exit_failures in state.exits:
-        gpa[rows], failures[rows] = exit_gpa, exit_failures
 
     def log(k: int) -> TrajectoryLog:
         block = slice(k * n, (k + 1) * n)
         return TrajectoryLog(
             realisation_index=indices[k], horizon=shared.horizon,
             status=state.status[block], cause=state.cause[block],
-            exit_semester=state.exit_semester[block], gpa=gpa[block],
-            resilience=state.resilience[block],
+            exit_semester=state.exit_semester[block], resilience=state.resilience[block],
             initial_resilience=state.initial_resilience[state.acad[block]],
-            failures=failures[block], semesters=records[k])
+            semesters=records[k])
     return [log(k) for k in range(len(blocks))]
 
 

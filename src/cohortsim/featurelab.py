@@ -43,12 +43,11 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .curriculum import CurriculumGraph, Cycle
+from .curriculum import BASIC_CYCLE_LAST_SEMESTER, CurriculumGraph, Cycle
 from .engine import TrajectoryLog
 from .population import agent_id
 
 MONTHS_PER_SEMESTER = 6
-BASIC_CYCLE_SEMESTERS = 4
 #: The one catalog feature that reads a student's takings; the others depend
 #: only on the entry date and the prediction time.
 IFC_FEATURE = "MACRO_IFC_pond_paros_basico"
@@ -339,8 +338,9 @@ def _entry_feature_value(name: str, student: StudentRecord, t: int,
     if name == "MACRO_paros_acum_ciclo":
         return sum(series.strike_at(s) for s in range(entry_s, entry_s + t))
     if name == "MACRO_paros_basico_vs_superior":
-        basic = [series.strike_at(s) for s in range(entry_s, entry_s + min(t, BASIC_CYCLE_SEMESTERS))]
-        advanced = [series.strike_at(s) for s in range(entry_s + BASIC_CYCLE_SEMESTERS, entry_s + t)]
+        advanced_s = entry_s + BASIC_CYCLE_LAST_SEMESTER  # the advanced cycle's first semester
+        basic = [series.strike_at(s) for s in range(entry_s, min(entry_s + t, advanced_s))]
+        advanced = [series.strike_at(s) for s in range(advanced_s, entry_s + t)]
         basic_mean = sum(basic) / len(basic) if basic else 0.0
         advanced_mean = sum(advanced) / len(advanced) if advanced else 0.0
         return basic_mean - advanced_mean

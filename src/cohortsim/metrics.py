@@ -18,10 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .curriculum import BASIC_CYCLE_LAST_SEMESTER
 from .engine import TrajectoryLog
 from .population import CAUSES, DROPOUT, DropoutCause, Tercile, tercile_index
-
-EARLY_CYCLE_LAST_SEMESTER = 4
 
 #: Resamples behind every bootstrap confidence interval.
 BOOTSTRAP_RESAMPLES = 1000
@@ -29,19 +28,15 @@ BOOTSTRAP_RESAMPLES = 1000
 
 @dataclass(frozen=True)
 class RealisationStats:
-    """Per-realisation summaries extracted from one trajectory log."""
+    """Per-realisation exit counts extracted from one trajectory log."""
 
     n_agents: int
     horizon: int
-    d_total: float
-    d_early: float
-    d_late_conditional: float
     dropouts_by_semester: tuple[int, ...]  # index 0 = semester 1
     at_risk_by_semester: tuple[int, ...]
-    times_to_dropout: tuple[int, ...]
-    cause_counts: dict[str, int]
-    tercile_dropouts: dict[str, int]
-    tercile_sizes: dict[str, int]
+    cause_counts: tuple[int, ...]  # dropouts in CAUSES order
+    tercile_dropouts: tuple[int, ...]  # dropouts and agents in Tercile order
+    tercile_sizes: tuple[int, ...]
 
 
 def realisation_stats(log: TrajectoryLog) -> RealisationStats:
@@ -49,31 +44,37 @@ def realisation_stats(log: TrajectoryLog) -> RealisationStats:
     horizon = log.horizon
     exits = log.exit_semester
     dropout = log.status == DROPOUT
-    dropout_exits = exits[dropout]
     terciles = tercile_index(log.initial_resilience)
 
     def counts(values, length):
-        return np.bincount(values, minlength=length)[:length].tolist()
+        return tuple(np.bincount(values, minlength=length)[:length].tolist())
 
     exits_by_sem = np.bincount(exits, minlength=horizon + 1)[1:horizon + 1]  # 0: still active
-    total = len(dropout_exits)
-    early = int(np.count_nonzero(dropout_exits <= EARLY_CYCLE_LAST_SEMESTER))
-    late = total - early
     at_risk = n - np.cumsum(exits_by_sem) + exits_by_sem
-    survivors_early = n - early
     return RealisationStats(
         n_agents=n,
         horizon=horizon,
-        d_total=total / n,
-        d_early=early / n,
-        d_late_conditional=(late / survivors_early) if survivors_early else 0.0,
-        dropouts_by_semester=tuple(counts(dropout_exits, horizon + 1)[1:]),
+        dropouts_by_semester=counts(exits[dropout], horizon + 1)[1:],
         at_risk_by_semester=tuple(at_risk.tolist()),
-        times_to_dropout=tuple(dropout_exits.tolist()),
-        cause_counts=dict(zip((c.value for c in CAUSES), counts(log.cause[dropout], len(CAUSES)))),
-        tercile_dropouts=dict(zip((t.value for t in Tercile), counts(terciles[dropout], 3))),
-        tercile_sizes=dict(zip((t.value for t in Tercile), counts(terciles, 3))),
+        cause_counts=counts(log.cause[dropout], len(CAUSES)),
+        tercile_dropouts=counts(terciles[dropout], len(Tercile)),
+        tercile_sizes=counts(terciles, len(Tercile)),
     )
+
+
+def realisation_rates(stats: Sequence[RealisationStats]) -> np.ndarray:
+    """Each realisation's ``d_total``, ``d_early`` and ``d_late_conditional``: a ``(3, r)`` array.
+
+    They are the cohort's share of dropouts, its share of dropouts in the basic
+    cycle, and the later dropouts over the agents left (0 when none are).
+    """
+    dropouts = np.array([s.dropouts_by_semester for s in stats], np.int64)
+    n = np.array([s.n_agents for s in stats])
+    total = dropouts.sum(axis=1)
+    early = dropouts[:, :BASIC_CYCLE_LAST_SEMESTER].sum(axis=1)
+    survivors = n - early
+    late = np.divide(total - early, survivors, out=np.zeros(len(stats)), where=survivors > 0)
+    return np.stack([total / n, early / n, late])
 
 
 @dataclass(frozen=True)
@@ -89,16 +90,16 @@ class PointEstimates:
 
 def point_estimates(stats: Sequence[RealisationStats]) -> PointEstimates:
     """The point estimates ``aggregate_stats`` reports, without its bootstrap."""
-    def mean(values) -> float:
-        return float(np.array(values).mean())
-
-    ttd_pooled = [t for s in stats for t in s.times_to_dropout]
+    d_total, d_early, d_late = realisation_rates(stats).mean(axis=1).tolist()
+    pooled = np.array([s.dropouts_by_semester for s in stats], np.int64).sum(axis=0)
+    events = int(pooled.sum())
+    mean_time = int(pooled @ np.arange(1, len(pooled) + 1)) / events if events else None
     return PointEstimates(
-        d_total=mean([s.d_total for s in stats]),
-        d_early=mean([s.d_early for s in stats]),
-        d_late_conditional=mean([s.d_late_conditional for s in stats]),
-        median_time_to_dropout=grouped_median(ttd_pooled) if ttd_pooled else None,
-        mean_time_to_dropout=float(np.mean(ttd_pooled)) if ttd_pooled else None,
+        d_total=d_total,
+        d_early=d_early,
+        d_late_conditional=d_late,
+        median_time_to_dropout=grouped_median(pooled) if events else None,
+        mean_time_to_dropout=mean_time,
     )
 
 
@@ -121,7 +122,6 @@ class RunMetrics:
     cause_shares: dict[str, float] | None
     tercile_breakdown: dict[str, float | None]
     hazard_curve: tuple[float, ...]
-    d_total_by_realisation: tuple[float, ...]
     dropouts_by_semester: tuple[tuple[int, ...], ...]
     at_risk_by_semester: tuple[tuple[int, ...], ...]
 
@@ -168,25 +168,27 @@ def aggregate_stats(stats: Sequence[RealisationStats], horizon: int,
 
     r = len(stats)
     n_agents = stats[0].n_agents
-    d_total = np.array([s.d_total for s in stats])
     dropouts = np.array([s.dropouts_by_semester for s in stats], dtype=float)
     at_risk = np.array([s.at_risk_by_semester for s in stats], dtype=float)
 
     ci = paired_bootstrap(r, bootstrap_resamples, 0)
-    cum = dropouts.cumsum(axis=1) / n_agents  # (r, horizon) cumulative fractions
-    curve = [(t + 1, float(cum[:, t].mean()), *ci(cum[:, t])) for t in range(horizon)]
+    # (horizon, r) cumulative fractions, a row per semester
+    cum = np.ascontiguousarray((dropouts.cumsum(axis=1) / n_agents).T)
+    curve = zip(range(1, horizon + 1), cum.mean(axis=1).tolist(),
+                *(bound.tolist() for bound in ci(cum)))
+    total_ci, early_ci, late_ci = zip(*(bound.tolist() for bound in ci(realisation_rates(stats))))
 
     point = point_estimates(stats)
 
-    total_dropouts = sum(sum(s.cause_counts.values()) for s in stats)
-    cause_shares = {c.value: sum(s.cause_counts[c.value] for s in stats) / total_dropouts
-                    for c in DropoutCause} if total_dropouts else None
+    def pooled(counts: str) -> list[int]:
+        return [sum(k) for k in zip(*(getattr(s, counts) for s in stats))]
 
-    tercile_breakdown: dict[str, float | None] = {}
-    for t in Tercile:
-        size = sum(s.tercile_sizes[t.value] for s in stats)
-        drop = sum(s.tercile_dropouts[t.value] for s in stats)
-        tercile_breakdown[t.value] = (drop / size) if size else None
+    causes = pooled("cause_counts")
+    total_dropouts = sum(causes)
+    cause_shares = {c.value: k / total_dropouts
+                    for c, k in zip(CAUSES, causes)} if total_dropouts else None
+    tercile_breakdown = {t.value: (drop / size) if size else None for t, drop, size in
+                         zip(Tercile, pooled("tercile_dropouts"), pooled("tercile_sizes"))}
 
     return RunMetrics(
         n_realisations=r,
@@ -194,35 +196,34 @@ def aggregate_stats(stats: Sequence[RealisationStats], horizon: int,
         horizon=horizon,
         dropout_curve=tuple(curve),
         d_total=point.d_total,
-        d_total_ci=ci(d_total),
+        d_total_ci=total_ci,
         d_early=point.d_early,
-        d_early_ci=ci(np.array([s.d_early for s in stats])),
+        d_early_ci=early_ci,
         d_late_conditional=point.d_late_conditional,
-        d_late_conditional_ci=ci(np.array([s.d_late_conditional for s in stats])),
+        d_late_conditional_ci=late_ci,
         median_time_to_dropout=point.median_time_to_dropout,
         mean_time_to_dropout=point.mean_time_to_dropout,
         cause_shares=cause_shares,
         tercile_breakdown=tercile_breakdown,
         hazard_curve=hazard_curve(dropouts.sum(axis=0).tolist(), at_risk.sum(axis=0).tolist()),
-        d_total_by_realisation=tuple(float(x) for x in d_total),
         dropouts_by_semester=tuple(s.dropouts_by_semester for s in stats),
         at_risk_by_semester=tuple(s.at_risk_by_semester for s in stats),
     )
 
 
-def grouped_median(semesters: Sequence[int]) -> float:
-    """Interpolated median of whole-semester event times.
+def grouped_median(counts: Sequence[int]) -> float:
+    """Interpolated median of whole-semester event times, from the event counts by semester.
 
-    Semester ``t`` is the class ``(t - 0.5, t + 0.5]``; with ``F`` the count
-    of events before the median class ``m`` and ``f`` the count in it, the
-    median is ``m - 0.5 + (n / 2 - F) / f``.
+    ``counts[t - 1]`` events fell in semester ``t``, the class
+    ``(t - 0.5, t + 0.5]``; with ``F`` the count of events before the median
+    class ``m`` and ``f`` the count in it, the median is ``m - 0.5 + (n / 2 - F) / f``.
     """
-    counts = np.bincount(np.asarray(semesters, dtype=np.int64))
+    counts = np.asarray(counts, dtype=np.int64)
     cumulative = np.cumsum(counts)
     half = cumulative[-1] / 2.0
-    m = int(np.searchsorted(cumulative, half))
+    m = int(np.searchsorted(cumulative, half))  # the median class is semester m + 1
     before = int(cumulative[m - 1]) if m > 0 else 0
-    return float(m - 0.5 + (half - before) / counts[m])
+    return float(m + 0.5 + (half - before) / counts[m])
 
 
 def amplification(d_both: float, d_inf_only: float, d_str_only: float, d_base: float) -> float:
@@ -319,10 +320,6 @@ class SweepResult:
     lambda_inf_grid: tuple[float, ...]
     lambda_str_grid: tuple[float, ...]
     cells: dict[tuple[float, float], SweepCell]
-    base_seed: int
-    n_realisations: int
-    n_agents: int
-    spec_hash: str
 
     def __post_init__(self) -> None:
         expected = {(i, s) for i in self.lambda_inf_grid for s in self.lambda_str_grid}

@@ -41,7 +41,8 @@ from .engine import (
 )
 from .metrics import (
     BOOTSTRAP_RESAMPLES, RunMetrics, SweepCell, SweepResult, aggregate_stats, amplification_ci,
-    amplification_surface, hazard_excess, point_estimates, realisation_stats, RealisationStats,
+    amplification_surface, hazard_excess, point_estimates, realisation_rates, realisation_stats,
+    RealisationStats,
 )
 from .population import PopulationParams
 
@@ -309,7 +310,7 @@ def run_sweep(sweep: SweepSpec, workers: int | WorkerPool = 1) -> SweepResult:
     specs = [replace(base, id=f"sweep({li:g},{ls:g})",
                      shock=replace(base.shock, lambda_inf=li, lambda_str=ls)) for li, ls in grid]
     per_point = ensemble_stats(specs, workers)
-    d_total = np.array([[s.d_total for s in stats] for stats in per_point])
+    d_total = np.array([realisation_rates(stats)[0] for stats in per_point])
     shape = (len(sweep.lambda_inf_grid), len(sweep.lambda_str_grid), base.n_realisations)
     # the surface in grid order, one entry per point
     amplification, lo, hi = (a.ravel() for a in amplification_surface(
@@ -328,10 +329,6 @@ def run_sweep(sweep: SweepSpec, workers: int | WorkerPool = 1) -> SweepResult:
         lambda_inf_grid=sweep.lambda_inf_grid,
         lambda_str_grid=sweep.lambda_str_grid,
         cells=cells,
-        base_seed=base.base_seed,
-        n_realisations=base.n_realisations,
-        n_agents=base.n_agents,
-        spec_hash=spec_hash(sweep_to_dict(sweep)),
     )
 
 
@@ -420,13 +417,15 @@ def _run_configuration(spec: ScenarioSpec, workers: WorkerPool,
               if check_properties else [])
     candidates = [spec, *probes]
     specs = [s for k, s in enumerate(candidates) if s not in candidates[:k]]
-    metrics = [aggregate_stats(stats, spec.horizon) for stats in ensemble_stats(specs, workers)]
+    per_spec = ensemble_stats(specs, workers)
+    metrics = [aggregate_stats(stats, spec.horizon) for stats in per_spec]
     if not check_properties:
         return metrics[0], None
-    m_base, m_inf, m_str, m_both, m_pulse = (metrics[specs.index(p)] for p in probes)
+    k_base, k_inf, k_str, k_both, k_pulse = (specs.index(p) for p in probes)
+    m_base, m_str, m_pulse = metrics[k_base], metrics[k_str], metrics[k_pulse]
 
     a_point, a_ci = amplification_ci(
-        *(m.d_total_by_realisation for m in (m_both, m_inf, m_str, m_base)),
+        *(realisation_rates(per_spec[k])[0] for k in (k_both, k_inf, k_str, k_base)),
         BOOTSTRAP_RESAMPLES, [spec.base_seed, 3])
 
     early_inc = m_str.d_early - m_base.d_early

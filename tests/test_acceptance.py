@@ -5,7 +5,7 @@ semesters), the 7x7 shock sweep and the robustness battery, and checks every
 headline number at its stated tolerance.  One PASS/FAIL line is printed per
 criterion (run with ``pytest tests/test_acceptance.py -v -s`` to see them).
 
-This module is compute-heavy (about a minute on one core); everything in it
+This module is compute-heavy (about 11 s on one core); everything in it
 is deterministic, so reruns are byte-for-byte comparable.
 """
 

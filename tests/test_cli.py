@@ -421,6 +421,9 @@ class TestValidateCommand:
         lines = out.splitlines()
         assert lines[0].startswith("id,name,cycle,semester")
         assert len(lines) == 1 + 40
+        # the table written to --out has the same bytes
+        assert run_cli("validate", "--curriculum", doc_path, "--out", tmp_path / "out") == 0
+        assert (tmp_path / "out" / "ifc_table.csv").read_bytes() == out.encode("utf-8")
 
     def test_violations_exit_one(self, tmp_path, capsys):
         doc = {"courses": [

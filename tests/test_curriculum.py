@@ -157,6 +157,15 @@ class TestValidateGraph:
         kinds = [v.kind for v in validate_graph(g)]
         assert kinds.count("cycle-semester") == 2
 
+    def test_cycle_boundary_is_after_semester_four(self):
+        g = CurriculumGraph([course("last-basic", sem=4), course("late-basic", sem=5),
+                             course("first-advanced", sem=5, cycle=Cycle.ADVANCED),
+                             course("early-advanced", sem=4, cycle=Cycle.ADVANCED)])
+        assert sorted((v.course_id, v.detail) for v in validate_graph(g)) == [
+            ("early-advanced", "advanced-cycle course scheduled in semester 4 < 5"),
+            ("late-basic", "basic-cycle course scheduled in semester 5 > 4"),
+        ]
+
     def test_topological_order_respects_prerequisites(self):
         g = default_curriculum()
         order = topological_order(g)

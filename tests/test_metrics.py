@@ -7,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from cohortsim.engine import TrajectoryLog
 from cohortsim.metrics import (
     aggregate_stats, amplification, amplification_ci, amplification_surface, hazard_curve,
-    hazard_excess, point_estimates, realisation_stats,
+    hazard_excess, paired_bootstrap, point_estimates, realisation_rates, realisation_stats,
 )
-from cohortsim.population import CAUSES, NO_CAUSE, STATUSES, DropoutCause, Status
+from cohortsim.population import CAUSES, DROPOUT, NO_CAUSE, STATUSES, DropoutCause, Status
 
 
 def make_agent(idx, status=Status.ACTIVE, exit_semester=None,
@@ -25,10 +25,8 @@ def make_agent(idx, status=Status.ACTIVE, exit_semester=None,
 
 def make_log(index, agents, horizon=12):
     status, cause, exit_semester, rho0 = (np.array(column) for column in zip(*agents))
-    n = len(agents)
     return TrajectoryLog(realisation_index=index, horizon=horizon, status=status, cause=cause,
-                         exit_semester=exit_semester, gpa=np.zeros(n), resilience=rho0,
-                         initial_resilience=rho0, failures=np.zeros(n, int))
+                         exit_semester=exit_semester, resilience=rho0, initial_resilience=rho0)
 
 
 def aggregate(logs, horizon):
@@ -74,9 +72,8 @@ class TestAggregate:
                   + [make_agent(i + 7, Status.GRADUATED, 10) for i in range(5)]
                   + [make_agent(i + 12) for i in range(8)])
         stats = realisation_stats(make_log(0, agents))
-        lhs = stats.d_total
-        rhs = stats.d_early + (1 - stats.d_early) * stats.d_late_conditional
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+        (d_total,), (d_early,), (d_late,) = realisation_rates([stats])
+        assert d_total == pytest.approx(d_early + (1 - d_early) * d_late, abs=1e-12)
 
     def test_curve_is_cumulative_and_matches_total(self):
         logs = bernoulli_logs(5, 50, 0.4, seed=3)
@@ -145,7 +142,6 @@ class TestAggregate:
         assert stats.at_risk_by_semester == (4, 3, 2, 1)
         assert stats.dropouts_by_semester == (1, 0, 1, 0)
 
-
     @pytest.mark.parametrize("p", [0.0, 0.37])
     def test_point_estimates_are_the_aggregate_values(self, p):
         stats = [realisation_stats(log) for log in bernoulli_logs(7, 30, p, seed=3)]
@@ -155,6 +151,98 @@ class TestAggregate:
                      "median_time_to_dropout", "mean_time_to_dropout"):
             assert getattr(point, name) == getattr(m, name)
         assert (point.median_time_to_dropout is None) == (p == 0.0)
+
+    def test_counts_are_in_cause_and_tercile_order(self):
+        agents = [make_agent(0, Status.DROPOUT, 2, DropoutCause.EXTERNAL, rho0=0.7),
+                  make_agent(1, Status.DROPOUT, 3, DropoutCause.EXTERNAL, rho0=0.3),
+                  make_agent(2, Status.DROPOUT, 4, DropoutCause.ACADEMIC, rho0=0.3),
+                  make_agent(3, rho0=0.5)]
+        stats = realisation_stats(make_log(0, agents))
+        assert stats.cause_counts == (1, 0, 2)  # academic, resilience-depletion, external
+        assert stats.tercile_dropouts == (2, 0, 1)  # low, mid, high
+        assert stats.tercile_sizes == (2, 1, 1)
+
+
+def reference_grouped_median(semesters):
+    """The grouped median over the pooled exit semesters, one entry per dropout."""
+    counts = np.bincount(np.asarray(semesters, dtype=np.int64))
+    cumulative = np.cumsum(counts)
+    half = cumulative[-1] / 2.0
+    m = int(np.searchsorted(cumulative, half))
+    before = int(cumulative[m - 1]) if m > 0 else 0
+    return float(m - 0.5 + (half - before) / counts[m])
+
+
+def reference_estimates(logs):
+    """Point estimates and per-realisation rates, agent by agent, by the per-event formulas."""
+    rates, pooled = [], []
+    for log in logs:
+        n = log.n_agents
+        exits = [int(e) for e, s in zip(log.exit_semester, log.status) if s == DROPOUT]
+        early = sum(1 for e in exits if e <= 4)
+        late = len(exits) - early
+        rates.append((len(exits) / n, early / n, late / (n - early) if n - early else 0.0))
+        pooled.extend(exits)
+    columns = [np.array(column) for column in zip(*rates)]
+    point = {name: float(column.mean()) for name, column in
+             zip(("d_total", "d_early", "d_late_conditional"), columns)}
+    point["median_time_to_dropout"] = reference_grouped_median(pooled) if pooled else None
+    point["mean_time_to_dropout"] = float(np.mean(pooled)) if pooled else None
+    return point, columns
+
+
+@st.composite
+def random_logs(draw):
+    """Logs of one horizon (0-12) and cohort size, with outcomes drawn from a seeded generator.
+
+    Their agents have any outcome, or no dropouts, or dropouts in the basic
+    cycle only.  Up to 60 realisations: means of more than 8 values are summed
+    pairwise, in another order than one by one."""
+    horizon = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["any", "no dropouts", "early dropouts"]))
+    statuses = [Status.ACTIVE] if horizon == 0 else {
+        "any": list(Status), "no dropouts": [Status.ACTIVE, Status.GRADUATED],
+        "early dropouts": [Status.ACTIVE, Status.DROPOUT]}[kind]
+    last = min(horizon, 4) if kind == "early dropouts" else horizon
+    n_agents = draw(st.integers(1, 25))
+    r = draw(st.one_of(st.just(1), st.integers(2, 60)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logs = []
+    for index in range(r):
+        agents = []
+        for i in range(n_agents):
+            status = statuses[rng.integers(len(statuses))]
+            exit_semester = None if status is Status.ACTIVE else int(rng.integers(1, last + 1))
+            agents.append(make_agent(i, status, exit_semester, CAUSES[rng.integers(len(CAUSES))],
+                                     float(rng.random())))
+        logs.append(make_log(index, agents, horizon))
+    return logs
+
+
+class TestEstimatesMatchPerAgentReference:
+    @settings(max_examples=200, deadline=None)
+    @given(logs=random_logs())
+    def test_point_estimates_and_aggregate_match_bit_for_bit(self, logs):
+        def hexed(value):
+            return None if value is None else float(value).hex()
+
+        horizon, resamples = logs[0].horizon, 40
+        expected, columns = reference_estimates(logs)
+        stats = [realisation_stats(log) for log in logs]
+        point = point_estimates(stats)
+        m = aggregate_stats(stats, horizon, bootstrap_resamples=resamples)
+        for name, value in expected.items():
+            assert hexed(getattr(point, name)) == hexed(value), name
+            assert hexed(getattr(m, name)) == hexed(value), name
+        # the CIs of the stacked calls are those of one call per row
+        ci = paired_bootstrap(len(logs), resamples, 0)
+        for name, column in zip(("d_total", "d_early", "d_late_conditional"), columns):
+            assert [x.hex() for x in getattr(m, f"{name}_ci")] == [x.hex() for x in ci(column)]
+        dropouts = np.array([s.dropouts_by_semester for s in stats], float)
+        cum = dropouts.cumsum(axis=1) / stats[0].n_agents
+        assert [(t, *(x.hex() for x in row)) for t, *row in m.dropout_curve] == [
+            (t + 1, *(x.hex() for x in (float(cum[:, t].mean()), *ci(cum[:, t]))))
+            for t in range(horizon)]
 
 
 class TestAmplification:
